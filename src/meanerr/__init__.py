@@ -7,152 +7,27 @@ provides the estimator family, first-order bias and MSE formulas with the
 measurement-error contribution split out, optimal coefficients, percent
 relative efficiencies, dominance checks, and a reproducible Monte Carlo engine
 that verifies the theory.
+
+The package namespace carries the names of a typical session; everything
+else lives in the submodules ``moments``, ``estimators``, ``theory``,
+``simulate``, ``ingest`` and ``cli``.
 """
 
-from .estimators import (
-    EstimatorSpec,
-    EvaluationError,
-    ExpRatio,
-    MeanPerUnit,
-    ObservedSample,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
-    describe,
-    evaluate,
-    evaluate_at_means,
-    hazard_free,
-)
-from .ingest import (
-    ColumnMap,
-    DatasetError,
-    MeasuredDataset,
-    compute_params,
-    load_dataset,
-    params_from_dict,
-    preset,
-    preset_names,
-)
-from .moments import (
-    MomentSet,
-    ParameterError,
-    PopulationParams,
-    derive_moments,
-    error_free,
-)
-from .simulate import (
-    AllReplicatesSkippedError,
-    ConfigError,
-    ConvergencePoint,
-    ErrorLaw,
-    SimulationConfig,
-    SimulationResult,
-    convergence_sweep,
-    draw_replicate,
-    run_monte_carlo,
-    worker_count,
-)
-from .theory import (
-    CorrectionCoefficients,
-    DominanceReport,
-    MseBreakdown,
-    MseQuadratic,
-    OptimalWeights,
-    SingularSystemError,
-    bias_exp_ratio,
-    bias_power_exp,
-    bias_weighted_power_exp,
-    correction_coefficients,
-    dominance_exp_ratio,
-    dominance_weighted_power_exp,
-    min_mse_weighted_diff,
-    min_mse_weighted_power_exp,
-    mse_exp_ratio,
-    mse_exp_ratio_total,
-    mse_power_exp,
-    mse_power_exp_total,
-    mse_quadratic,
-    mse_regression_diff,
-    mse_weighted_diff,
-    mse_weighted_power_exp,
-    optimal_weighted_diff,
-    optimal_weighted_power_exp,
-    pre,
-    regression_slope,
-    theory_mse,
-    var_mean_per_unit,
-)
+from .estimators import WeightedPowerExpRatio
+from .ingest import preset
+from .moments import derive_moments
+from .simulate import SimulationConfig, run_monte_carlo
+from .theory import min_mse_weighted_power_exp, optimal_weighted_power_exp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    # moments
-    "ParameterError",
-    "PopulationParams",
-    "MomentSet",
-    "derive_moments",
-    "error_free",
-    # estimators
-    "EvaluationError",
-    "ObservedSample",
-    "MeanPerUnit",
-    "ExpRatio",
-    "WeightedDifference",
-    "PowerExpRatio",
-    "WeightedPowerExpRatio",
-    "EstimatorSpec",
-    "evaluate",
-    "evaluate_at_means",
-    "hazard_free",
-    "describe",
-    # theory
-    "SingularSystemError",
-    "MseBreakdown",
-    "CorrectionCoefficients",
-    "OptimalWeights",
-    "MseQuadratic",
-    "DominanceReport",
-    "var_mean_per_unit",
-    "bias_exp_ratio",
-    "mse_exp_ratio",
-    "mse_exp_ratio_total",
-    "regression_slope",
-    "mse_regression_diff",
-    "mse_weighted_diff",
-    "optimal_weighted_diff",
-    "min_mse_weighted_diff",
-    "correction_coefficients",
-    "mse_power_exp",
-    "mse_power_exp_total",
-    "bias_power_exp",
-    "mse_quadratic",
-    "mse_weighted_power_exp",
-    "optimal_weighted_power_exp",
-    "min_mse_weighted_power_exp",
-    "bias_weighted_power_exp",
-    "pre",
-    "dominance_exp_ratio",
-    "dominance_weighted_power_exp",
-    "theory_mse",
-    # simulate
-    "ConfigError",
-    "AllReplicatesSkippedError",
-    "ErrorLaw",
     "SimulationConfig",
-    "SimulationResult",
-    "ConvergencePoint",
-    "draw_replicate",
-    "run_monte_carlo",
-    "convergence_sweep",
-    "worker_count",
-    # ingest
-    "DatasetError",
-    "ColumnMap",
-    "MeasuredDataset",
-    "load_dataset",
-    "compute_params",
+    "WeightedPowerExpRatio",
+    "derive_moments",
+    "min_mse_weighted_power_exp",
+    "optimal_weighted_power_exp",
     "preset",
-    "preset_names",
-    "params_from_dict",
+    "run_monte_carlo",
     "__version__",
 ]

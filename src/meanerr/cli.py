@@ -19,8 +19,7 @@ Three subcommands share one source-resolution and rendering pipeline:
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 tolerance failure (``simulate --tolerance`` exceeded).  Output is a pure
-function of the flag set; the ``ME_LAB_THREADS`` environment variable may
-change wall time but never a single output byte.
+function of the flag set.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .estimators import (
     EstimatorSpec,
@@ -109,6 +108,12 @@ _MD_FORMATS = {
 }
 
 
+# Note on a theory row whose first-order total is zero or negative: the
+# expansion has left its range of validity there, and PRE is undefined.
+_NON_POSITIVE_NOTE = ("first-order mse is not positive: outside the "
+                      "expansion's range, pre undefined")
+
+
 class _UsageError(Exception):
     """Bad flag combination or malformed flag value (exit code 1)."""
 
@@ -160,121 +165,90 @@ def scenario_table(params: PopulationParams, source: str) -> ReportTable:
                        columns=_PARAMS_COLUMNS, rows=(row,))
 
 
-def _theory_row(label: str, breakdown, reference: float, *,
-                alpha=None, beta=None, mean_weight=None, aux_weight=None,
-                note: str = "") -> dict:
-    row = {
-        "estimator": label,
-        "alpha": alpha,
-        "beta": beta,
-        "mean_weight": mean_weight,
-        "aux_weight": aux_weight,
-        "without_me": None,
-        "me_contribution": None,
-        "total": None,
-        "pre": None,
-        "note": note,
-    }
-    if breakdown is not None:
-        row["without_me"] = breakdown.without_me
-        row["me_contribution"] = breakdown.me_contribution
-        row["total"] = breakdown.total
-        row["pre"] = theory.pre(reference, breakdown.total)
-    return row
+class _PlanRow(NamedTuple):
+    """One estimator row of the comparison, shared by both tables."""
+
+    label: str
+    cells: dict                          # the alpha/beta/weight cells that apply
+    spec: Optional[EstimatorSpec]        # None when the optimum is singular
+    breakdown: Optional[theory.MseBreakdown]
+    note: str = ""
+
+
+def _optimal_row(label: str, cells: dict, solve, make_spec) -> _PlanRow:
+    """The row of the optimum ``solve`` returns, or its singularity note."""
+    try:
+        opt, breakdown = solve()
+    except theory.SingularSystemError as exc:
+        return _PlanRow(label, cells, None, None, str(exc))
+    return _PlanRow(label,
+                    {**cells, "mean_weight": opt.first,
+                     "aux_weight": opt.second},
+                    make_spec(opt.first, opt.second), breakdown)
+
+
+def _row_plan(params: PopulationParams,
+              grid: Sequence[tuple[int, float]]) -> list[_PlanRow]:
+    """The comparison's rows in table order, at ``params`` as given.
+
+    Rows: mean per unit, exp-ratio, regression-slope difference, optimal
+    weighted difference, then the power-exp rows for every grid pair
+    followed by the optimal weighted power-exp rows for every grid pair.
+    A singular optimum yields spec and breakdown None with the reason in
+    the note; the other rows are unaffected.
+    """
+    slope = theory.regression_slope(derive_moments(params))
+    plan = [
+        _PlanRow("mean_per_unit", {}, MeanPerUnit(),
+                 theory.var_mean_per_unit(params)),
+        _PlanRow("exp_ratio", {}, ExpRatio(), theory.mse_exp_ratio(params)),
+        _PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
+                 WeightedDifference(1.0, slope),
+                 theory.mse_regression_diff(params)),
+        _optimal_row("weighted_diff_optimal", {},
+                     lambda: theory.min_mse_weighted_diff(params),
+                     WeightedDifference),
+    ]
+    for alpha, beta in grid:
+        plan.append(_PlanRow("power_exp", {"alpha": alpha, "beta": beta},
+                             PowerExpRatio(float(alpha), float(beta)),
+                             theory.mse_power_exp(params, alpha, beta)))
+    for alpha, beta in grid:
+        plan.append(_optimal_row(
+            "weighted_power_exp_optimal", {"alpha": alpha, "beta": beta},
+            lambda: theory.min_mse_weighted_power_exp(params, alpha, beta),
+            lambda first, second: WeightedPowerExpRatio(
+                first, second, float(alpha), float(beta))))
+    return plan
 
 
 def theory_table(params: PopulationParams,
                  grid: Sequence[tuple[int, float]] = DEFAULT_GRID,
                  ) -> ReportTable:
-    """First-order MSE comparison table in fixed row order.
+    """First-order MSE comparison table in ``_row_plan`` order.
 
-    Rows: mean per unit, exp-ratio, regression-slope difference, optimal
-    weighted difference, then the power-exp rows for every grid pair
-    followed by the optimal weighted power-exp rows for every grid pair.
-    A singular optimum turns into a note on its own row; the other rows
-    are unaffected.
+    PRE is taken against the mean-per-unit row. A row whose first-order
+    total is not positive keeps its legs and total, but its PRE is left
+    empty and the note says why.
     """
-    grid = tuple(grid)
-    reference = theory.var_mean_per_unit(params).total
-    m = derive_moments(params)
+    plan = _row_plan(params, tuple(grid))
+    reference = plan[0].breakdown.total
     rows = []
-
-    rows.append(_theory_row("mean_per_unit",
-                            theory.var_mean_per_unit(params), reference))
-    rows.append(_theory_row("exp_ratio",
-                            theory.mse_exp_ratio(params), reference))
-    rows.append(_theory_row("regression_diff",
-                            theory.mse_regression_diff(params), reference,
-                            mean_weight=1.0,
-                            aux_weight=theory.regression_slope(m)))
-    try:
-        opt, breakdown = theory.min_mse_weighted_diff(params)
-        rows.append(_theory_row("weighted_diff_optimal", breakdown, reference,
-                                mean_weight=opt.first,
-                                aux_weight=opt.second))
-    except theory.SingularSystemError as exc:
-        rows.append(_theory_row("weighted_diff_optimal", None, reference,
-                                note=str(exc)))
-    for alpha, beta in grid:
-        rows.append(_theory_row("power_exp",
-                                theory.mse_power_exp(params, alpha, beta),
-                                reference, alpha=alpha, beta=beta))
-    for alpha, beta in grid:
-        try:
-            opt, breakdown = theory.min_mse_weighted_power_exp(
-                params, alpha, beta)
-            rows.append(_theory_row("weighted_power_exp_optimal", breakdown,
-                                    reference, alpha=alpha, beta=beta,
-                                    mean_weight=opt.first,
-                                    aux_weight=opt.second))
-        except theory.SingularSystemError as exc:
-            rows.append(_theory_row("weighted_power_exp_optimal", None,
-                                    reference, alpha=alpha, beta=beta,
-                                    note=str(exc)))
+    for entry in plan:
+        row = dict.fromkeys(_THEORY_COLUMNS)
+        row.update(entry.cells, estimator=entry.label, note=entry.note)
+        if entry.breakdown is not None:
+            total = entry.breakdown.total
+            row.update(without_me=entry.breakdown.without_me,
+                       me_contribution=entry.breakdown.me_contribution,
+                       total=total)
+            if total > 0:
+                row["pre"] = theory.pre(reference, total)
+            else:
+                row["note"] = _NON_POSITIVE_NOTE
+        rows.append(row)
     return ReportTable(title=f"first-order mse comparison (n={params.n})",
                        columns=_THEORY_COLUMNS, rows=tuple(rows))
-
-
-def _estimator_plan(params: PopulationParams,
-                    grid: Sequence[tuple[int, float]],
-                    ) -> list[tuple[str, Optional[EstimatorSpec], dict, str]]:
-    """(label, spec, coefficient cells, note) per table row, in table order.
-
-    A singular optimum yields spec None with the note filled in; optimal
-    coefficients are computed from ``params`` as given (callers rescale n
-    first when simulating at a different sample size).
-    """
-    m = derive_moments(params)
-    plan: list[tuple[str, Optional[EstimatorSpec], dict, str]] = []
-    plan.append(("mean_per_unit", MeanPerUnit(), {}, ""))
-    plan.append(("exp_ratio", ExpRatio(), {}, ""))
-    slope = theory.regression_slope(m)
-    plan.append(("regression_diff", WeightedDifference(1.0, slope),
-                 {"mean_weight": 1.0, "aux_weight": slope}, ""))
-    try:
-        opt, _ = theory.min_mse_weighted_diff(params)
-        plan.append(("weighted_diff_optimal",
-                     WeightedDifference(opt.first, opt.second),
-                     {"mean_weight": opt.first, "aux_weight": opt.second},
-                     ""))
-    except theory.SingularSystemError as exc:
-        plan.append(("weighted_diff_optimal", None, {}, str(exc)))
-    for alpha, beta in grid:
-        plan.append(("power_exp", PowerExpRatio(float(alpha), float(beta)),
-                     {"alpha": alpha, "beta": beta}, ""))
-    for alpha, beta in grid:
-        cells = {"alpha": alpha, "beta": beta}
-        try:
-            opt, _ = theory.min_mse_weighted_power_exp(params, alpha, beta)
-            spec = WeightedPowerExpRatio(opt.first, opt.second,
-                                         float(alpha), float(beta))
-            plan.append(("weighted_power_exp_optimal", spec,
-                         {**cells, "mean_weight": opt.first,
-                          "aux_weight": opt.second}, ""))
-        except theory.SingularSystemError as exc:
-            plan.append(("weighted_power_exp_optimal", None, cells,
-                         str(exc)))
-    return plan
 
 
 def simulation_table(config: SimulationConfig,
@@ -289,17 +263,18 @@ def simulation_table(config: SimulationConfig,
     effective = config.params
     if config.sample_size != config.params.n:
         effective = dataclasses.replace(config.params, n=config.sample_size)
-    plan = _estimator_plan(effective, tuple(grid))
-    specs = [spec for _, spec, _, _ in plan if spec is not None]
-    results = iter(run_monte_carlo(config, specs))
+    plan = _row_plan(effective, tuple(grid))
+    # theory_mse comes from each spec inside run_monte_carlo, not from the
+    # breakdowns, whose totals are formed differently (re-summed legs,
+    # rearranged minima)
+    results = iter(run_monte_carlo(
+        config, [entry.spec for entry in plan if entry.spec is not None]))
     rows = []
     worst_gap = 0.0
-    for label, spec, cells, note in plan:
-        row = {column: None for column in _SIMULATE_COLUMNS}
-        row["estimator"] = label
-        row["note"] = note
-        row.update(cells)
-        if spec is not None:
+    for entry in plan:
+        row = dict.fromkeys(_SIMULATE_COLUMNS)
+        row.update(entry.cells, estimator=entry.label, note=entry.note)
+        if entry.spec is not None:
             result = next(results)
             gap = (abs(result.empirical_mse - result.theory_mse)
                    / abs(result.theory_mse)) if result.theory_mse else None
@@ -422,7 +397,8 @@ def _add_grid_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grid", action="append", metavar="ALPHA,BETA",
         help="power-exp (alpha, beta) pair; repeatable; alpha must be an "
-             "integer in [-3, 3]; default grid: 1,0 0,1 1,1 1,-1")
+             "integer in [-3, 3]; write a negative alpha as --grid=-1,0; "
+             "default grid: 1,0 0,1 1,1 1,-1")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,6 @@ __all__ = [
     "evaluate",
     "evaluate_at_means",
     "hazard_free",
-    "describe",
 ]
 
 
@@ -227,22 +226,3 @@ def evaluate(spec: EstimatorSpec, sample: ObservedSample, mu_x: float) -> float:
             f"ybar={ybar!r}, xbar={xbar!r}")
     return value
 
-
-def describe(spec: EstimatorSpec) -> dict:
-    """Tag and coefficient columns for report rows (None where not used)."""
-    tag = {
-        MeanPerUnit: "mean_per_unit",
-        ExpRatio: "exp_ratio",
-        WeightedDifference: "weighted_diff",
-        PowerExpRatio: "power_exp_ratio",
-        WeightedPowerExpRatio: "weighted_power_exp",
-    }[type(spec)]
-    out = {"estimator": tag, "alpha": None, "beta": None,
-           "mean_weight": None, "aux_weight": None}
-    if isinstance(spec, (PowerExpRatio, WeightedPowerExpRatio)):
-        out["alpha"] = spec.alpha
-        out["beta"] = spec.beta
-    if isinstance(spec, (WeightedDifference, WeightedPowerExpRatio)):
-        out["mean_weight"] = spec.mean_weight
-        out["aux_weight"] = spec.aux_weight
-    return out

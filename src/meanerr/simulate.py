@@ -4,8 +4,7 @@ Each replicate draws a fresh bivariate-normal truth sample, contaminates it
 with independent mean-zero errors, and evaluates every requested estimator
 on the observed means. The per-replicate generator is a counter-based
 substream keyed by (seed, replicate index), and all aggregation uses exact
-summation, so results are bit-identical for any execution order and any
-worker count. Set ME_LAB_THREADS to parallelize replicate generation.
+summation, so results are bit-identical for any order of the replicates.
 
 Replicates where an estimator lands in its domain hazard (or overflows) are
 excluded from that estimator's averages and surfaced through
@@ -17,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -39,10 +36,7 @@ __all__ = [
     "draw_replicate",
     "run_monte_carlo",
     "convergence_sweep",
-    "worker_count",
 ]
-
-THREADS_ENV_VAR = "ME_LAB_THREADS"
 
 _MAX_SEED = 2**64
 
@@ -154,21 +148,6 @@ class ConvergencePoint:
     relative_gap: float
 
 
-def worker_count() -> int:
-    """Replicate-generation parallelism, from the ME_LAB_THREADS variable."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _substream(seed: int, replicate_index: int) -> np.random.Generator:
     # counter-based substream: the replicate index occupies the high counter
     # words, leaving 2**128 draws of headroom inside each replicate
@@ -220,25 +199,10 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     reps = config.replicates
     ybars = np.empty(reps)
     xbars = np.empty(reps)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            sample = draw_replicate(config, i)
-            ybars[i] = sample.y.mean()
-            xbars[i] = sample.x.mean()
-
-    workers = worker_count()
-    if workers == 1:
-        fill(0, reps)
-    else:
-        # disjoint index ranges; the slot arrays make the result independent
-        # of completion order
-        bounds = [(k * reps) // workers for k in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, lo, hi)
-                       for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-            for future in futures:
-                future.result()
+    for i in range(reps):
+        sample = draw_replicate(config, i)
+        ybars[i] = sample.y.mean()
+        xbars[i] = sample.x.mean()
     return ybars, xbars
 
 

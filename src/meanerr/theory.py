@@ -424,11 +424,17 @@ def dominance_weighted_power_exp(params: PopulationParams,
 # ------------------------------------------------------------------ efficiency
 
 def pre(mse_reference: float, mse: float) -> float:
-    """Percent relative efficiency, 100 * mse_reference / mse."""
+    """Percent relative efficiency, 100 * mse_reference / mse.
+
+    Exactly 100 when ``mse`` equals the reference, which the rounding of
+    100 * r / r misses for some r.
+    """
     if not (math.isfinite(mse_reference) and mse_reference > 0):
         raise ValueError(f"reference MSE must be positive, got {mse_reference!r}")
     if not (math.isfinite(mse) and mse > 0):
         raise ValueError(f"MSE must be positive, got {mse!r}")
+    if mse == mse_reference:
+        return 100.0
     return 100.0 * mse_reference / mse
 
 

@@ -250,6 +250,34 @@ class TestTheoryCommand:
         rows = self.theory_json(capsys)
         assert rows[0]["pre"] == 100.0
 
+    @pytest.mark.parametrize("n", [23, 27, 46])
+    def test_mean_row_pre_is_exactly_100_where_the_ratio_rounds(
+            self, capsys, n):
+        # 100 * r / r rounds to 99.99999999999999 or 100.00000000000001
+        # at these n
+        rows = self.theory_json(capsys, "--n", str(n))
+        assert rows[0]["pre"] == 100.0
+        code, out, _ = run_cli(capsys, ["theory", "--preset", PRESET,
+                                        "--n", str(n), "--format", "csv"])
+        assert code == 0
+        assert csv_rows(out)[0]["pre"] == "100.0"
+
+    @pytest.mark.parametrize("pair", ["3,0", "2,1.5", "-1,0.5"])
+    def test_non_positive_first_order_total_leaves_pre_empty(
+            self, capsys, pair):
+        rows = self.theory_json(capsys, f"--grid={pair}")
+        optimal = rows[-1]
+        assert optimal["estimator"] == "weighted_power_exp_optimal"
+        assert optimal["total"] <= 0
+        assert optimal["total"] == pytest.approx(
+            optimal["without_me"] + optimal["me_contribution"], rel=1e-9)
+        assert optimal["pre"] is None
+        assert optimal["note"] and "|" not in optimal["note"]
+        code, out, _ = run_cli(
+            capsys, ["theory", "--preset", PRESET, f"--grid={pair}"])
+        assert code == 0
+        assert md_rows(out)[-1]["pre"] == ""
+
     def test_decomposition_identity_every_row(self, capsys):
         for row in self.theory_json(capsys):
             total = row["without_me"] + row["me_contribution"]
@@ -428,13 +456,6 @@ class TestSimulateCommand:
     def test_loose_tolerance_passes(self, capsys):
         code, _, _ = run_cli(capsys, [*SMALL_RUN, "--tolerance", "10"])
         assert code == 0
-
-    def test_worker_count_does_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.setenv("ME_LAB_THREADS", "1")
-        _, serial, _ = run_cli(capsys, [*SMALL_RUN, "--format", "csv"])
-        monkeypatch.setenv("ME_LAB_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, [*SMALL_RUN, "--format", "csv"])
-        assert serial == threaded
 
     def test_student_t_needs_df(self, capsys):
         code, _, err = run_cli(

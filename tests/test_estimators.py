@@ -17,7 +17,6 @@ from meanerr.estimators import (
     PowerExpRatio,
     WeightedDifference,
     WeightedPowerExpRatio,
-    describe,
     evaluate,
     evaluate_at_means,
     hazard_free,
@@ -212,14 +211,6 @@ class TestSpecValidationAndDescribe:
             WeightedDifference(math.inf, 0.0)
         with pytest.raises(EvaluationError):
             PowerExpRatio(math.nan, 1.0)
-
-    def test_describe_columns(self):
-        d = describe(WeightedPowerExpRatio(0.9, -0.1, 1.0, -1.0))
-        assert d == {"estimator": "weighted_power_exp", "alpha": 1.0,
-                     "beta": -1.0, "mean_weight": 0.9, "aux_weight": -0.1}
-        d = describe(MeanPerUnit())
-        assert d["estimator"] == "mean_per_unit"
-        assert d["alpha"] is None and d["mean_weight"] is None
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)

@@ -2,14 +2,11 @@
 
 Each case is one command line run in every output format; its expected
 stdout lives in ``tests/golden/<case>.<format>``. A change that moves any
-byte fails here; if the move is intended, regenerate the files with
-
-    PYTHONPATH=src python tests/test_golden.py
-
-and say in the change log which bytes moved and why.
+byte fails here; if the move is intended, write the new output over the
+file (the command line plus ``--format`` and ``--out``) and say in the
+change log which bytes moved and why.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -42,10 +39,3 @@ def test_output_matches_golden_file(case, fmt, capsys):
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
-
-if __name__ == "__main__":
-    for name, argv in CASES.items():
-        for fmt in FORMATS:
-            path = GOLDEN / f"{name}.{fmt}"
-            if main([*argv, "--format", fmt, "--out", str(path)]) != 0:
-                sys.exit(f"{name} {fmt}: command failed")

@@ -27,7 +27,6 @@ from meanerr.simulate import (
     convergence_sweep,
     draw_replicate,
     run_monte_carlo,
-    worker_count,
 )
 from meanerr.theory import theory_mse
 
@@ -88,22 +87,6 @@ class TestConfigValidation:
         cfg = SimulationConfig(params=table_params, replicates=100, seed=SEED,
                                error_law=ErrorLaw.STUDENT_T, error_df=6.0)
         assert cfg.error_df == 6.0
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("ME_LAB_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_reads_variable(self, monkeypatch):
-        monkeypatch.setenv("ME_LAB_THREADS", "4")
-        assert worker_count() == 4
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
-    def test_rejects_invalid(self, monkeypatch, raw):
-        monkeypatch.setenv("ME_LAB_THREADS", raw)
-        with pytest.raises(ConfigError):
-            worker_count()
 
 
 class TestDrawReplicate:
@@ -211,20 +194,6 @@ class TestRunMonteCarlo:
         assert weighted_row.empirical_bias == mean_row.empirical_bias
         assert weighted_row.empirical_mse == mean_row.empirical_mse
         assert weighted_row.replicates_used == mean_row.replicates_used
-
-    def test_worker_count_invariance(self, config, monkeypatch):
-        cfg = dataclasses.replace(config, replicates=300)
-        specs = [MeanPerUnit(), ExpRatio(), PowerExpRatio(1.0, 1.0)]
-        monkeypatch.delenv("ME_LAB_THREADS", raising=False)
-        serial = run_monte_carlo(cfg, specs)
-        monkeypatch.setenv("ME_LAB_THREADS", "3")
-        threaded = run_monte_carlo(cfg, specs)
-        assert serial == threaded
-
-    def test_invalid_worker_env_raises(self, config, monkeypatch):
-        monkeypatch.setenv("ME_LAB_THREADS", "-2")
-        with pytest.raises(ConfigError):
-            run_monte_carlo(config, [MeanPerUnit()])
 
     def test_engine_matches_scalar_evaluation(self, config):
         # the vectorized engine path and the strict scalar evaluator must
