@@ -30,6 +30,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -108,8 +109,9 @@ _MD_FORMATS = {
 }
 
 
-# Note on a theory row whose first-order total is zero or negative: the
-# expansion has left its range of validity there, and PRE is undefined.
+# Note on a row whose first-order total is zero or negative: the expansion
+# has left its range of validity there, and PRE and the relative gap are
+# undefined.
 _NON_POSITIVE_NOTE = ("first-order mse is not positive: outside the "
                       "expansion's range, pre undefined")
 
@@ -258,7 +260,9 @@ def simulation_table(config: SimulationConfig,
 
     Optimal coefficients and theory values are both taken at the effective
     sample size, so the comparison is apples-to-apples when ``sample_n``
-    overrides ``params.n``.
+    overrides ``params.n``. A row whose first-order MSE is not positive
+    gets no relative gap, carries the theory table's note, and is left out
+    of the worst gap.
     """
     effective = config.params
     if config.sample_size != config.params.n:
@@ -276,10 +280,13 @@ def simulation_table(config: SimulationConfig,
         row.update(entry.cells, estimator=entry.label, note=entry.note)
         if entry.spec is not None:
             result = next(results)
-            gap = (abs(result.empirical_mse - result.theory_mse)
-                   / abs(result.theory_mse)) if result.theory_mse else None
-            if gap is not None:
+            gap = None
+            if result.theory_mse > 0:
+                gap = (abs(result.empirical_mse - result.theory_mse)
+                       / result.theory_mse)
                 worst_gap = max(worst_gap, gap)
+            else:
+                row["note"] = _NON_POSITIVE_NOTE
             row.update({
                 "empirical_bias": result.empirical_bias,
                 "empirical_mse": result.empirical_mse,
@@ -397,8 +404,24 @@ def _add_grid_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grid", action="append", metavar="ALPHA,BETA",
         help="power-exp (alpha, beta) pair; repeatable; alpha must be an "
-             "integer in [-3, 3]; write a negative alpha as --grid=-1,0; "
-             "default grid: 1,0 0,1 1,1 1,-1")
+             "integer in [-3, 3]; default grid: 1,0 0,1 1,1 1,-1")
+
+
+# A --grid value with a negative alpha, such as -1,0: argparse would take it
+# for a flag.
+_NEGATIVE_GRID_VALUE = re.compile(r"-\.?\d")
+
+
+def _join_grid_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with ``--grid -1,0`` rewritten as ``--grid=-1,0``."""
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] == "--grid"
+                and _NEGATIVE_GRID_VALUE.match(token)):
+            joined[-1] = f"--grid={token}"
+        else:
+            joined.append(token)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,8 +551,10 @@ def _cmd_simulate(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_grid_values(argv))
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,9 @@ class EvaluationError(ValueError):
     """Raised for malformed samples and estimator domain hazards."""
 
 
+NON_FINITE_SAMPLE = "sample values must be finite"
+
+
 @dataclass(frozen=True)
 class ObservedSample:
     """One simple random sample of observed (study, auxiliary) pairs."""
@@ -60,7 +63,7 @@ class ObservedSample:
             raise EvaluationError(
                 f"column lengths differ: {y.size} study vs {x.size} auxiliary")
         if not (np.isfinite(y).all() and np.isfinite(x).all()):
-            raise EvaluationError("sample values must be finite")
+            raise EvaluationError(NON_FINITE_SAMPLE)
         y = y.copy()
         x = x.copy()
         y.setflags(write=False)

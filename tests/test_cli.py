@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from meanerr import theory
+from meanerr import cli, theory
 from meanerr.cli import DEFAULT_GRID, main
 from meanerr.ingest import params_from_dict, preset
 from meanerr.moments import derive_moments
@@ -342,6 +342,26 @@ class TestTheoryCommand:
         assert code == 1
         assert "--grid" in err
 
+    @pytest.mark.parametrize("command", ["theory", "simulate"])
+    def test_negative_alpha_grid_spelled_either_way(self, capsys, command):
+        base = [command, "--preset", PRESET, "--format", "csv"]
+        if command == "simulate":
+            base += ["--replicates", "100"]
+        code, spaced, err = run_cli(capsys, [*base, "--grid", "-1,0.5"])
+        assert code == 0, err
+        code, joined, err = run_cli(capsys, [*base, "--grid=-1,0.5"])
+        assert code == 0, err
+        assert spaced == joined
+
+    def test_negative_alpha_grid_repeated_and_validated(self, capsys):
+        rows = self.theory_json(capsys, "--grid", "-1,0.5", "--grid", "-3,-2")
+        assert [(r["alpha"], r["beta"]) for r in rows[4:6]] == \
+            [(-1, 0.5), (-3, -2.0)]
+        code, _, err = run_cli(
+            capsys, ["theory", "--preset", PRESET, "--grid", "-1.5,0"])
+        assert code == 1
+        assert "--grid" in err
+
     def test_from_dataset_runs(self, capsys, data_file):
         code, out, _ = run_cli(
             capsys, ["theory", "--data", data_file, "--format", "json"])
@@ -482,6 +502,27 @@ class TestSimulateCommand:
             capsys,
             ["simulate", "--preset", PRESET, "--replicates", "50"])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_positive_theory_mse_leaves_gap_empty(self, capsys, fmt):
+        # at n = 10 the optimal weighted power-exp (3, 0) row has a
+        # first-order mse of about -322; its gap against that would be 4.6
+        code, out, err = run_cli(
+            capsys, ["simulate", "--preset", PRESET, "--grid=3,0",
+                     "--replicates", "2000", "--tolerance", "1",
+                     "--format", fmt])
+        assert code == 0, err
+        rows = json_rows(out) if fmt == "json" else csv_rows(out)
+        optimal = rows[-1]
+        assert optimal["estimator"] == "weighted_power_exp_optimal"
+        assert float(optimal["theory_mse"]) < 0
+        assert optimal["relative_gap"] in (None, "")
+        assert optimal["note"] == cli._NON_POSITIVE_NOTE
+        assert float(optimal["empirical_mse"]) > 0
+        for row in rows[:-1]:
+            assert float(row["theory_mse"]) > 0
+            assert float(row["relative_gap"]) < 1
+            assert row["note"] in (None, "")
 
     def test_markdown_output(self, capsys):
         code, out, _ = run_cli(capsys, SMALL_RUN)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from meanerr import simulate
 from meanerr.estimators import (
+    EvaluationError,
     ExpRatio,
     MeanPerUnit,
     PowerExpRatio,
@@ -21,7 +23,10 @@ from meanerr.simulate import (
     ErrorLaw,
     SimulationConfig,
     SimulationResult,
+    _BLOCK,
     _aggregate_spec,
+    _replicate_means,
+    _seek_substream,
     _standardized_errors,
     _substream,
     convergence_sweep,
@@ -162,6 +167,98 @@ class TestDrawReplicate:
             p.rho * math.sqrt(p.sigma_y2 * p.sigma_x2), rel=0.01)
 
 
+def replay_observed(config, index):
+    """Independent reconstruction of one replicate's observed sample: a
+    fresh substream and the per-replicate arithmetic, one replicate at a
+    time."""
+    p = config.params
+    n = config.sample_size
+    rng = np.random.Generator(
+        np.random.Philox(key=config.seed, counter=index << 128))
+    z = rng.standard_normal(2 * n)
+    y_true = p.mu_y + math.sqrt(p.sigma_y2) * z[:n]
+    x_true = p.mu_x + math.sqrt(p.sigma_x2) * (
+        p.rho * z[:n] + math.sqrt(1.0 - p.rho * p.rho) * z[n:])
+    if config.error_law is ErrorLaw.GAUSSIAN:
+        e = rng.standard_normal(2 * n)
+    elif config.error_law is ErrorLaw.UNIFORM:
+        e = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), 2 * n)
+    else:
+        df = config.error_df
+        e = rng.standard_t(df, 2 * n) * math.sqrt((df - 2.0) / df)
+    y = y_true + math.sqrt(p.sigma_u2) * e[:n]
+    x = x_true + math.sqrt(p.sigma_v2) * e[n:]
+    return y, x
+
+
+# replicate counts around block boundaries; a config needs >= 100
+_FULL_BLOCKS = -(-100 // _BLOCK)
+KERNEL_REPLICATES = (100, _FULL_BLOCKS * _BLOCK - 1, _FULL_BLOCKS * _BLOCK,
+                     _FULL_BLOCKS * _BLOCK + 1, 1001)
+KERNEL_SEEDS = (0, 2**63 + 5, 2**64 - 1)
+KERNEL_LAWS = (
+    dict(error_law=ErrorLaw.GAUSSIAN),
+    dict(error_law=ErrorLaw.UNIFORM),
+    dict(error_law=ErrorLaw.STUDENT_T, error_df=6.0),
+)
+
+
+class TestBlockKernel:
+    """The blocked engine against one-replicate-at-a-time references."""
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    @pytest.mark.parametrize("index", [0, 1, _BLOCK - 1, _BLOCK, 2**64 - 1])
+    def test_seek_matches_fresh_substream(self, seed, index):
+        rng = _substream(seed, 12345)
+        rng.standard_normal(7)  # leave the buffer and counter mid-stream
+        _seek_substream(rng.bit_generator, seed, index)
+        got = rng.bit_generator.state
+        want = _substream(seed, index).bit_generator.state
+        assert got.keys() == want.keys()
+        for key in ("bit_generator", "buffer_pos", "has_uint32", "uinteger"):
+            assert got[key] == want[key]
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for key in ("counter", "key"):
+            assert np.array_equal(got["state"][key], want["state"][key])
+        assert np.array_equal(rng.standard_normal(9),
+                              _substream(seed, index).standard_normal(9))
+
+    @pytest.mark.parametrize(
+        "law", KERNEL_LAWS, ids=[law["error_law"].value for law in KERNEL_LAWS])
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    @pytest.mark.parametrize("n", [2, 10, 200])
+    def test_means_match_per_replicate_draws(self, table_params, n, seed,
+                                             law):
+        reps = max(KERNEL_REPLICATES)
+        base = SimulationConfig(params=table_params, replicates=reps,
+                                seed=seed, sample_n=n, **law)
+        samples = [draw_replicate(base, i) for i in range(reps)]
+        ref_y = np.array([sample.y.mean() for sample in samples])
+        ref_x = np.array([sample.x.mean() for sample in samples])
+        replayed = [replay_observed(base, i) for i in range(reps)]
+        for sample, (y, x) in zip(samples, replayed):
+            assert np.array_equal(sample.y, y)
+            assert np.array_equal(sample.x, x)
+        for count in KERNEL_REPLICATES:
+            cfg = dataclasses.replace(base, replicates=count)
+            ybars, xbars = _replicate_means(cfg)
+            assert np.array_equal(ybars, ref_y[:count])
+            assert np.array_equal(xbars, ref_x[:count])
+
+    def test_non_finite_sample_raises(self, config, monkeypatch):
+        def poisoned(rng, cfg, size):
+            e = rng.standard_normal(size)
+            e[-1] = np.nan
+            return e
+
+        monkeypatch.setattr(simulate, "_standardized_errors", poisoned)
+        message = "sample values must be finite"
+        with pytest.raises(EvaluationError, match=message):
+            run_monte_carlo(config, [MeanPerUnit()])
+        with pytest.raises(EvaluationError, match=message):
+            draw_replicate(config, 0)
+
+
 class TestErrorLaws:
     @pytest.mark.parametrize("law,df", [
         (ErrorLaw.GAUSSIAN, None),
@@ -252,6 +349,40 @@ class TestRunMonteCarlo:
 
     def test_empty_spec_list(self, config):
         assert run_monte_carlo(config, []) == []
+
+
+class TestMseVarianceSum:
+    """The vectorised sum of squared deviations of the squared errors in
+    ``_aggregate_spec`` against the scalar form it replaced,
+    ``math.fsum((s - mse) ** 2 for s in squares)``. A numpy float's scalar
+    ``** 2`` squares through libm pow, as float_power does; the array
+    ``** 2`` and np.square multiply, and differ in the last bit on about
+    one element in 1300."""
+
+    def test_float_power_matches_scalar_square(self):
+        rng = np.random.default_rng(20261018)
+        for trial in range(1000):
+            size = int(rng.integers(2, 1002))
+            deviations = rng.standard_normal(size) * rng.uniform(0.1, 100.0)
+            squares = deviations * deviations
+            mse = math.fsum(squares.tolist()) / size
+            scalar = [(s - mse) ** 2 for s in squares]
+            assert np.float_power(squares - mse, 2.0).tolist() == scalar, trial
+
+    def test_aggregate_matches_scalar_reference(self):
+        # short arrays, where one term off by an ulp often moves the sum
+        rng = np.random.default_rng(20261019)
+        mu_y = 127.0
+        for trial in range(3000):
+            size = int(rng.integers(2, 13))
+            ybars = mu_y + rng.standard_normal(size) * rng.uniform(0.1, 100.0)
+            result = _aggregate_spec(MeanPerUnit(), ybars, ybars, mu_y=mu_y,
+                                     mu_x=170.0, theory=1.0)
+            squares = (ybars - mu_y) * (ybars - mu_y)
+            mse = math.fsum(squares) / size
+            sq_var = math.fsum((s - mse) ** 2 for s in squares) / (size - 1)
+            assert result.empirical_mse == mse, trial
+            assert result.mc_se_mse == math.sqrt(sq_var / size), trial
 
 
 class TestSimulationResult:
