@@ -13,8 +13,7 @@ import sys
 
 from dataclasses import replace
 
-from meanerr.estimators import ExpRatio, MeanPerUnit, PowerExpRatio, \
-    WeightedPowerExpRatio
+from meanerr.estimators import Estimator, ExpBracket, PowerExpBracket
 from meanerr.ingest import DEFAULT_PRESET, preset, preset_names
 from meanerr.moments import derive_moments
 from meanerr.simulate import SimulationConfig, convergence_sweep
@@ -49,13 +48,14 @@ def main(argv=None) -> int:
     params = preset(args.preset)
     n_grid = [int(v) for v in args.n_grid.split(",")]
     alpha, beta = args.pair
+    bracket = PowerExpBracket(float(alpha), beta)
     config = SimulationConfig(params=params, replicates=args.replicates,
                               seed=args.seed)
 
     for label, spec in (
-        ("mean per unit", MeanPerUnit()),
-        ("exp ratio", ExpRatio()),
-        (f"power exp ({alpha},{beta:g})", PowerExpRatio(float(alpha), beta)),
+        ("mean per unit", Estimator()),
+        ("exp ratio", Estimator(bracket=ExpBracket())),
+        (f"power exp ({alpha},{beta:g})", Estimator(bracket=bracket)),
     ):
         print_points(label, convergence_sweep(config, spec, n_grid))
 
@@ -65,8 +65,8 @@ def main(argv=None) -> int:
     for n in n_grid:
         rescaled = replace(params, n=n)
         opt = optimal_weighted_power_exp(derive_moments(rescaled),
-                                         rescaled.mu_y, alpha, beta)
-        spec = WeightedPowerExpRatio(opt.first, opt.second, float(alpha), beta)
+                                         rescaled.mu_y, bracket)
+        spec = Estimator(opt.first, opt.second, bracket)
         points.extend(convergence_sweep(config, spec, [n]))
     print_points(f"optimized power exp ({alpha},{beta:g}), "
                  "weights re-derived per n", points)

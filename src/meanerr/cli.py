@@ -35,14 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .estimators import (
-    EstimatorSpec,
-    ExpRatio,
-    MeanPerUnit,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
-)
+from .estimators import Estimator, ExpBracket, PowerExpBracket
 from .ingest import (
     ColumnMap,
     DatasetError,
@@ -109,11 +102,13 @@ _MD_FORMATS = {
 }
 
 
-# Note on a row whose first-order total is zero or negative: the expansion
-# has left its range of validity there, and PRE and the relative gap are
-# undefined.
+# Notes on a row whose first-order total is zero or negative: the expansion
+# has left its range of validity there, and PRE (theory) and the relative
+# gap (simulate) are undefined.
 _NON_POSITIVE_NOTE = ("first-order mse is not positive: outside the "
                       "expansion's range, pre undefined")
+_NON_POSITIVE_GAP_NOTE = ("first-order mse is not positive: outside the "
+                          "expansion's range, relative_gap undefined")
 
 
 class _UsageError(Exception):
@@ -172,7 +167,7 @@ class _PlanRow(NamedTuple):
 
     label: str
     cells: dict                          # the alpha/beta/weight cells that apply
-    spec: Optional[EstimatorSpec]        # None when the optimum is singular
+    spec: Optional[Estimator]            # None when the optimum is singular
     breakdown: Optional[theory.MseBreakdown]
     note: str = ""
 
@@ -201,26 +196,26 @@ def _row_plan(params: PopulationParams,
     """
     slope = theory.regression_slope(derive_moments(params))
     plan = [
-        _PlanRow("mean_per_unit", {}, MeanPerUnit(),
+        _PlanRow("mean_per_unit", {}, Estimator(),
                  theory.var_mean_per_unit(params)),
-        _PlanRow("exp_ratio", {}, ExpRatio(), theory.mse_exp_ratio(params)),
+        _PlanRow("exp_ratio", {}, Estimator(bracket=ExpBracket()),
+                 theory.mse_exp_ratio(params)),
         _PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
-                 WeightedDifference(1.0, slope),
-                 theory.mse_regression_diff(params)),
+                 Estimator(1.0, slope), theory.mse_regression_diff(params)),
         _optimal_row("weighted_diff_optimal", {},
-                     lambda: theory.min_mse_weighted_diff(params),
-                     WeightedDifference),
+                     lambda: theory.min_mse_weighted_diff(params), Estimator),
     ]
-    for alpha, beta in grid:
+    brackets = [PowerExpBracket(float(alpha), float(beta))
+                for alpha, beta in grid]
+    for (alpha, beta), bracket in zip(grid, brackets):
         plan.append(_PlanRow("power_exp", {"alpha": alpha, "beta": beta},
-                             PowerExpRatio(float(alpha), float(beta)),
-                             theory.mse_power_exp(params, alpha, beta)))
-    for alpha, beta in grid:
+                             Estimator(bracket=bracket),
+                             theory.mse_power_exp(params, bracket)))
+    for (alpha, beta), bracket in zip(grid, brackets):
         plan.append(_optimal_row(
             "weighted_power_exp_optimal", {"alpha": alpha, "beta": beta},
-            lambda: theory.min_mse_weighted_power_exp(params, alpha, beta),
-            lambda first, second: WeightedPowerExpRatio(
-                first, second, float(alpha), float(beta))))
+            lambda: theory.min_mse_weighted_power_exp(params, bracket),
+            lambda first, second: Estimator(first, second, bracket)))
     return plan
 
 
@@ -261,8 +256,8 @@ def simulation_table(config: SimulationConfig,
     Optimal coefficients and theory values are both taken at the effective
     sample size, so the comparison is apples-to-apples when ``sample_n``
     overrides ``params.n``. A row whose first-order MSE is not positive
-    gets no relative gap, carries the theory table's note, and is left out
-    of the worst gap.
+    gets no relative gap, a note that says why, and is left out of the
+    worst gap.
     """
     effective = config.params
     if config.sample_size != config.params.n:
@@ -286,7 +281,7 @@ def simulation_table(config: SimulationConfig,
                        / result.theory_mse)
                 worst_gap = max(worst_gap, gap)
             else:
-                row["note"] = _NON_POSITIVE_NOTE
+                row["note"] = _NON_POSITIVE_GAP_NOTE
             row.update({
                 "empirical_bias": result.empirical_bias,
                 "empirical_mse": result.empirical_mse,

@@ -1,14 +1,23 @@
 """The estimator family for a population mean with an auxiliary variable.
 
-Five estimators, all functions of the observed sample means (ybar, xbar) and
-the known auxiliary mean mu_x:
+Every estimator is a function of the observed sample means (ybar, xbar) and
+the known auxiliary mean mu_x of one form,
 
-* ``MeanPerUnit``             ybar
-* ``ExpRatio``                ybar * exp((mu_x - xbar) / (mu_x + xbar))
-* ``WeightedDifference``      w1 * ybar + w2 * (mu_x - xbar)
-* ``PowerExpRatio``           ybar * (2 - (xbar/mu_x)^alpha
-                                        * exp(beta * (xbar - mu_x) / (xbar + mu_x)))
-* ``WeightedPowerExpRatio``   (w1 * ybar + w2 * (mu_x - xbar)) * same bracket
+    (w1 * ybar + w2 * (mu_x - xbar)) * g(xbar),
+
+an ``Estimator(mean_weight=w1, aux_weight=w2, bracket=g)``. The bracket g is
+one of
+
+* ``None``                          g = 1
+* ``ExpBracket()``                  g = exp((mu_x - xbar) / (mu_x + xbar))
+* ``PowerExpBracket(alpha, beta)``  g = 2 - (xbar/mu_x)^alpha
+                                        * exp(beta (xbar - mu_x)/(xbar + mu_x))
+
+so the mean per unit is ``Estimator()``, the exponential ratio estimator
+``Estimator(bracket=ExpBracket())`` and the weighted difference
+``Estimator(w1, w2)``. Each bracket carries its value, its domain hazards
+and its expansion coefficients, 1 - B d - A d^2 in d = (xbar - mu_x)/mu_x,
+as ``linear`` (B) and ``quadratic`` (A).
 
 Evaluation is exact (the defining expressions, not their expansions). The
 kernel ``evaluate_at_means`` accepts scalars or numpy arrays so the Monte
@@ -19,19 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
     "EvaluationError",
     "ObservedSample",
-    "MeanPerUnit",
-    "ExpRatio",
-    "WeightedDifference",
-    "PowerExpRatio",
-    "WeightedPowerExpRatio",
-    "EstimatorSpec",
+    "Estimator",
+    "ExpBracket",
+    "PowerExpBracket",
     "evaluate",
     "evaluate_at_means",
     "hazard_free",
@@ -71,17 +77,6 @@ class ObservedSample:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ObservedSample":
-        arr = np.asarray(list(pairs), dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise EvaluationError("pairs must be a sequence of (y, x) tuples")
-        return cls(y=arr[:, 0], x=arr[:, 1])
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.y.tolist(), self.x.tolist()))
-
     def __len__(self) -> int:
         return int(self.y.size)
 
@@ -94,31 +89,35 @@ def _check_finite_coeffs(obj, names) -> None:
                                   f"got {v!r}")
 
 
-@dataclass(frozen=True)
-class MeanPerUnit:
-    """The plain sample mean of the observed study values."""
+def _everywhere(xbar, value: bool):
+    """``value`` in the shape of ``xbar``: an array, or a scalar."""
+    return np.full(np.shape(xbar), value) if np.ndim(xbar) else value
 
 
 @dataclass(frozen=True)
-class ExpRatio:
-    """Exponential ratio adjustment pulling ybar toward the known mu_x."""
+class ExpBracket:
+    """exp((mu_x - xbar) / (mu_x + xbar)), which expands as
+    1 - d/2 + (3/8) d^2: B = 1/2, A = -3/8."""
+
+    linear = 0.5
+    quadratic = -0.375
+
+    def __call__(self, xbar, mu_x: float):
+        return np.exp((mu_x - xbar) / (mu_x + xbar))
+
+    def hazard_free(self, xbar, mu_x: float):
+        """False at the division singularity xbar + mu_x = 0."""
+        return np.not_equal(xbar + mu_x, 0.0)
 
 
 @dataclass(frozen=True)
-class WeightedDifference:
-    """Linear combination of ybar and the auxiliary deviation (mu_x - xbar)."""
+class PowerExpBracket:
+    """2 - (xbar/mu_x)^alpha * exp(beta * (xbar - mu_x) / (xbar + mu_x)).
 
-    mean_weight: float   # weight on ybar
-    aux_weight: float    # weight on (mu_x - xbar)
-
-    def __post_init__(self) -> None:
-        _check_finite_coeffs(self, ("mean_weight", "aux_weight"))
-
-
-@dataclass(frozen=True)
-class PowerExpRatio:
-    """Two-parameter corrected mean ybar * (2 - g) with
-    g = (xbar/mu_x)^alpha * exp(beta * (xbar - mu_x) / (xbar + mu_x))."""
+    Its expansion coefficients follow the shipped convention (see
+    ``meanerr.theory``): B = alpha + beta/2 and
+    A = alpha (alpha - 1) + beta (beta - 2)/8 + alpha beta / 2.
+    """
 
     alpha: float
     beta: float
@@ -126,41 +125,51 @@ class PowerExpRatio:
     def __post_init__(self) -> None:
         _check_finite_coeffs(self, ("alpha", "beta"))
 
+    @property
+    def linear(self) -> float:
+        return self.alpha + self.beta / 2.0
+
+    @property
+    def quadratic(self) -> float:
+        return (self.alpha * (self.alpha - 1.0)
+                + self.beta * (self.beta - 2.0) / 8.0
+                + self.alpha * self.beta / 2.0)
+
+    def __call__(self, xbar, mu_x: float):
+        power = np.power(xbar / mu_x, self.alpha)
+        return 2.0 - power * np.exp(self.beta * (xbar - mu_x) / (xbar + mu_x))
+
+    def hazard_free(self, xbar, mu_x: float):
+        """False at xbar + mu_x = 0, everywhere when mu_x = 0, and, for a
+        non-integral alpha, where the power base xbar / mu_x <= 0 (which
+        would leave the real line)."""
+        if mu_x == 0:
+            return _everywhere(xbar, False)
+        ok = np.not_equal(xbar + mu_x, 0.0)
+        if not float(self.alpha).is_integer():
+            ok = ok & np.greater(np.asarray(xbar) / mu_x, 0.0)
+        return ok
+
+
+Bracket = Union[ExpBracket, PowerExpBracket]
+
 
 @dataclass(frozen=True)
-class WeightedPowerExpRatio:
-    """Weighted difference combined with the power-exp correction bracket.
+class Estimator:
+    """(mean_weight * ybar + aux_weight * (mu_x - xbar)) * bracket(xbar).
 
-    Reduces to ``WeightedDifference`` at alpha = beta = 0 and to
-    ``PowerExpRatio`` at mean_weight = 1, aux_weight = 0.
+    The defaults are the mean per unit: weights (1, 0) and no bracket.
     """
 
-    mean_weight: float
-    aux_weight: float
-    alpha: float
-    beta: float
+    mean_weight: float = 1.0   # weight on ybar
+    aux_weight: float = 0.0    # weight on (mu_x - xbar)
+    bracket: Optional[Bracket] = None
 
     def __post_init__(self) -> None:
-        _check_finite_coeffs(self, ("mean_weight", "aux_weight", "alpha", "beta"))
+        _check_finite_coeffs(self, ("mean_weight", "aux_weight"))
 
 
-EstimatorSpec = Union[MeanPerUnit, ExpRatio, WeightedDifference,
-                      PowerExpRatio, WeightedPowerExpRatio]
-
-
-def _is_integral(value: float) -> bool:
-    return math.isfinite(value) and float(value).is_integer()
-
-
-def _correction_bracket(xbar, mu_x: float, alpha: float, beta: float):
-    """(2 - (xbar/mu_x)^alpha * exp(beta (xbar - mu_x)/(xbar + mu_x))),
-    computed blindly; hazard screening happens in the callers."""
-    base = xbar / mu_x
-    power = np.power(base, alpha)
-    return 2.0 - power * np.exp(beta * (xbar - mu_x) / (xbar + mu_x))
-
-
-def evaluate_at_means(spec: EstimatorSpec, ybar, xbar, mu_x: float):
+def evaluate_at_means(spec: Estimator, ybar, xbar, mu_x: float):
     """Estimator value as a function of the sample means.
 
     ``ybar`` and ``xbar`` may be floats or numpy arrays of equal shape. No
@@ -168,43 +177,25 @@ def evaluate_at_means(spec: EstimatorSpec, ybar, xbar, mu_x: float):
     combine this with ``hazard_free`` and a finiteness check, which is what
     the simulation engine does. Scalar users normally want ``evaluate``.
     """
-    if isinstance(spec, MeanPerUnit):
-        return ybar
-    if isinstance(spec, ExpRatio):
-        return ybar * np.exp((mu_x - xbar) / (mu_x + xbar))
-    if isinstance(spec, WeightedDifference):
-        return spec.mean_weight * ybar + spec.aux_weight * (mu_x - xbar)
-    if isinstance(spec, PowerExpRatio):
-        return ybar * _correction_bracket(xbar, mu_x, spec.alpha, spec.beta)
-    if isinstance(spec, WeightedPowerExpRatio):
-        head = spec.mean_weight * ybar + spec.aux_weight * (mu_x - xbar)
-        return head * _correction_bracket(xbar, mu_x, spec.alpha, spec.beta)
-    raise TypeError(f"unknown estimator spec: {spec!r}")
+    head = spec.mean_weight * ybar + spec.aux_weight * (mu_x - xbar)
+    if spec.bracket is None:
+        return head
+    return head * spec.bracket(xbar, mu_x)
 
 
-def hazard_free(spec: EstimatorSpec, xbar, mu_x: float):
+def hazard_free(spec: Estimator, xbar, mu_x: float):
     """True where evaluating ``spec`` at ``xbar`` is free of domain hazards.
 
-    Hazards are the exact division singularity xbar + mu_x = 0 and, for the
-    power-bracket family with non-integral alpha, a non-positive power base
-    xbar / mu_x <= 0 (which would leave the real line). Works elementwise on
-    arrays. Overflow to non-finite values is screened separately by callers.
+    Without a bracket there are none; otherwise the bracket's own rule
+    applies. Works elementwise on arrays. Overflow to non-finite values is
+    screened separately by callers.
     """
-    if isinstance(spec, (MeanPerUnit, WeightedDifference)):
-        return np.ones(np.shape(xbar), dtype=bool) if np.ndim(xbar) else True
-    if isinstance(spec, ExpRatio):
-        return np.not_equal(xbar + mu_x, 0.0)
-    if isinstance(spec, (PowerExpRatio, WeightedPowerExpRatio)):
-        ok = np.not_equal(xbar + mu_x, 0.0)
-        if mu_x == 0:
-            return np.zeros(np.shape(xbar), dtype=bool) if np.ndim(xbar) else False
-        if not _is_integral(spec.alpha):
-            ok = ok & np.greater(np.asarray(xbar) / mu_x, 0.0)
-        return ok
-    raise TypeError(f"unknown estimator spec: {spec!r}")
+    if spec.bracket is None:
+        return _everywhere(xbar, True)
+    return spec.bracket.hazard_free(xbar, mu_x)
 
 
-def evaluate(spec: EstimatorSpec, sample: ObservedSample, mu_x: float) -> float:
+def evaluate(spec: Estimator, sample: ObservedSample, mu_x: float) -> float:
     """Evaluate one estimator on one sample, raising on domain hazards.
 
     Raises
@@ -219,13 +210,13 @@ def evaluate(spec: EstimatorSpec, sample: ObservedSample, mu_x: float) -> float:
     xbar = float(sample.x.mean())
     if not bool(hazard_free(spec, xbar, mu_x)):
         raise EvaluationError(
-            f"domain hazard for {type(spec).__name__} at xbar={xbar!r}, "
+            f"domain hazard for {spec!r} at xbar={xbar!r}, "
             f"mu_x={mu_x!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(evaluate_at_means(spec, ybar, xbar, mu_x))
     if not math.isfinite(value):
         raise EvaluationError(
-            f"{type(spec).__name__} evaluated to a non-finite value at "
+            f"{spec!r} evaluated to a non-finite value at "
             f"ybar={ybar!r}, xbar={xbar!r}")
     return value
 

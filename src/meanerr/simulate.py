@@ -32,7 +32,7 @@ import numpy as np
 
 from .estimators import (
     NON_FINITE_SAMPLE,
-    EstimatorSpec,
+    Estimator,
     EvaluationError,
     ObservedSample,
     evaluate_at_means,
@@ -135,7 +135,7 @@ class SimulationConfig:
 class SimulationResult:
     """Empirical moments of one estimator across the used replicates."""
 
-    estimator: EstimatorSpec
+    estimator: Estimator
     empirical_bias: float
     empirical_mse: float
     mc_se_mse: float
@@ -263,7 +263,7 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     return ybars, xbars
 
 
-def _aggregate_spec(spec: EstimatorSpec, ybars: np.ndarray, xbars: np.ndarray,
+def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
                     mu_y: float, mu_x: float, theory: float) -> SimulationResult:
     reps = ybars.size
     mask = hazard_free(spec, xbars, mu_x)
@@ -302,7 +302,7 @@ def _aggregate_spec(spec: EstimatorSpec, ybars: np.ndarray, xbars: np.ndarray,
 
 
 def run_monte_carlo(config: SimulationConfig,
-                    specs: Sequence[EstimatorSpec]) -> list[SimulationResult]:
+                    specs: Sequence[Estimator]) -> list[SimulationResult]:
     """Estimate bias and MSE for each spec over shared replicate draws.
 
     Every estimator sees the same replicate means, so cross-estimator
@@ -320,7 +320,7 @@ def run_monte_carlo(config: SimulationConfig,
     ]
 
 
-def convergence_sweep(config: SimulationConfig, spec: EstimatorSpec,
+def convergence_sweep(config: SimulationConfig, spec: Estimator,
                       n_grid: Sequence[int]) -> list[ConvergencePoint]:
     """Empirical-vs-theory MSE gap across sample sizes.
 

@@ -13,60 +13,49 @@ Conventions
   built around optimal coefficients re-optimize at zero error variances for
   the without leg, so both legs describe the best attainable value in their
   own world.
-* The correction bracket 2 - (xbar/mu_x)^alpha exp(beta (xbar-mu_x)/(xbar+mu_x))
-  expands as 1 - B d - A d^2 with d = (xbar - mu_x)/mu_x, B = alpha + beta/2
-  and, as shipped, A = alpha (alpha - 1) + beta (beta - 2)/8 + alpha beta / 2.
-  For alpha in {0, 1} this A equals the exact second-order Taylor
-  coefficient; for other alpha the first term of the Taylor coefficient is
-  alpha (alpha - 1)/2 and the shipped convention intentionally differs. The
-  benchmark grid and the simulation-verified bias results all live on
-  alpha in {0, 1}.
+* A correction bracket expands as 1 - B d - A d^2 with
+  d = (xbar - mu_x)/mu_x; the bracket carries B as ``linear`` and A as
+  ``quadratic``. The power-exp bracket
+  2 - (xbar/mu_x)^alpha exp(beta (xbar-mu_x)/(xbar+mu_x)) has B = alpha +
+  beta/2 and, as shipped, A = alpha (alpha - 1) + beta (beta - 2)/8 +
+  alpha beta / 2. For alpha in {0, 1} this A equals the exact second-order
+  Taylor coefficient; for other alpha the first term of the Taylor
+  coefficient is alpha (alpha - 1)/2 and the shipped convention
+  intentionally differs. The benchmark grid and the simulation-verified
+  bias results all live on alpha in {0, 1}.
+* The formulas stay per family: the general quadratic at weights (1, 0)
+  or B = A = 0 is algebraically, but not bitwise, equal to the mean per
+  unit, exp-ratio, power-exp and weighted-difference forms, and
+  ``theory_mse`` picks the family form wherever one applies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
-from .estimators import (
-    EstimatorSpec,
-    ExpRatio,
-    MeanPerUnit,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
-)
+from .estimators import Bracket, Estimator, ExpBracket, PowerExpBracket
 from .moments import MomentSet, PopulationParams, derive_moments, error_free
 
 __all__ = [
     "SingularSystemError",
     "MseBreakdown",
-    "CorrectionCoefficients",
     "OptimalWeights",
     "MseQuadratic",
-    "DominanceReport",
     "var_mean_per_unit",
-    "bias_exp_ratio",
     "mse_exp_ratio",
-    "mse_exp_ratio_total",
     "regression_slope",
     "mse_regression_diff",
     "mse_weighted_diff",
     "optimal_weighted_diff",
     "min_mse_weighted_diff",
-    "correction_coefficients",
     "mse_power_exp",
     "mse_power_exp_total",
-    "bias_power_exp",
     "mse_quadratic",
-    "mse_weighted_power_exp",
     "optimal_weighted_power_exp",
     "min_mse_weighted_power_exp",
-    "bias_weighted_power_exp",
+    "first_order_bias",
     "pre",
-    "dominance_exp_ratio",
-    "dominance_weighted_power_exp",
     "theory_mse",
 ]
 
@@ -99,37 +88,12 @@ def _breakdown(without_me: float, total: float) -> MseBreakdown:
 
 
 @dataclass(frozen=True)
-class CorrectionCoefficients:
-    """Expansion coefficients of the correction bracket, 1 - B d - A d^2."""
-
-    linear: float      # B = alpha + beta/2
-    quadratic: float   # A = alpha(alpha-1) + beta(beta-2)/8 + alpha*beta/2
-
-
-def correction_coefficients(alpha: float, beta: float) -> CorrectionCoefficients:
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError("alpha and beta must be finite")
-    return CorrectionCoefficients(
-        linear=alpha + beta / 2.0,
-        quadratic=alpha * (alpha - 1.0) + beta * (beta - 2.0) / 8.0
-        + alpha * beta / 2.0,
-    )
-
-
-@dataclass(frozen=True)
 class OptimalWeights:
     """MSE-minimizing coefficient pair and the minimum it attains."""
 
     first: float     # weight on ybar
     second: float    # weight on (mu_x - xbar)
     min_mse: float
-
-
-class DominanceReport(NamedTuple):
-    """Outcome of an MSE dominance check plus its diagnostic ratio."""
-
-    holds: bool
-    ratio: Optional[float]
 
 
 # --------------------------------------------------------------- mean per unit
@@ -146,26 +110,14 @@ def var_mean_per_unit(params: PopulationParams) -> MseBreakdown:
 
 # ------------------------------------------------------------------- exp ratio
 
-def bias_exp_ratio(m: MomentSet, mu_x: float) -> float:
-    """First-order bias of the exponential ratio estimator:
-    ((3/8) ratio var_xbar - cov_yxbar / 2) / mu_x."""
-    return (0.375 * m.ratio * m.var_xbar - 0.5 * m.cov_yxbar) / mu_x
-
-
-def mse_exp_ratio_total(m: MomentSet) -> float:
-    """First-order MSE of the exponential ratio estimator in moment form:
-    var_ybar + ratio^2 var_xbar / 4 - ratio cov_yxbar."""
-    return (m.var_ybar + 0.25 * m.ratio * m.ratio * m.var_xbar
-            - m.ratio * m.cov_yxbar)
-
-
 def mse_exp_ratio(params: PopulationParams) -> MseBreakdown:
     """First-order MSE of the exponential ratio estimator, decomposed.
 
     The error-free leg uses the coefficient-of-variation form
     (sigma_y2/n) [1 - (cv_x/cv_y)(rho - cv_x/(4 cv_y))]; the error
     contribution is ((mu_y^2/(4 mu_x^2)) sigma_v2 + sigma_u2)/n. Their sum
-    equals the moment form of ``mse_exp_ratio_total`` identically.
+    equals the moment form var_ybar + ratio^2 var_xbar / 4 - ratio cov_yxbar
+    identically.
     """
     m = derive_moments(params)
     without = (params.sigma_y2 / params.n) * (
@@ -174,22 +126,6 @@ def mse_exp_ratio(params: PopulationParams) -> MseBreakdown:
           + params.sigma_u2) / params.n
     return MseBreakdown(without_me=without, me_contribution=me,
                         total=without + me)
-
-
-def dominance_exp_ratio(params: PopulationParams) -> DominanceReport:
-    """Does the exponential ratio estimator beat the mean per unit?
-
-    ``holds`` compares the two MSE totals directly. ``ratio`` is the
-    diagnostic quantity ratio * var_xbar / cov_yxbar (None when the
-    covariance is zero); when ratio * cov_yxbar > 0, as in the benchmark
-    regime, ``ratio <= 4`` is equivalent to ``holds``.
-    """
-    m = derive_moments(params)
-    holds = mse_exp_ratio(params).total <= var_mean_per_unit(params).total
-    ratio = None
-    if m.cov_yxbar != 0.0:
-        ratio = m.ratio * m.var_xbar / m.cov_yxbar
-    return DominanceReport(holds=holds, ratio=ratio)
 
 
 # ----------------------------------------------------------- weighted difference
@@ -275,29 +211,20 @@ def mse_regression_diff(params: PopulationParams) -> MseBreakdown:
 
 # ------------------------------------------------------------ power-exp family
 
-def mse_power_exp_total(m: MomentSet, alpha: float, beta: float) -> float:
+def mse_power_exp_total(m: MomentSet, bracket: PowerExpBracket) -> float:
     """First-order MSE of the power-exp corrected mean:
     var_ybar + var_xbar ratio^2 B^2 - 2 ratio B cov_yxbar."""
-    B = correction_coefficients(alpha, beta).linear
+    B = bracket.linear
     return (m.var_ybar + m.var_xbar * m.ratio**2 * B**2
             - 2.0 * m.ratio * B * m.cov_yxbar)
 
 
-def mse_power_exp(params: PopulationParams, alpha: float, beta: float,
+def mse_power_exp(params: PopulationParams, bracket: PowerExpBracket,
                   ) -> MseBreakdown:
     """Decomposed first-order MSE of the power-exp corrected mean."""
-    total = mse_power_exp_total(derive_moments(params), alpha, beta)
-    without = mse_power_exp_total(derive_moments(error_free(params)),
-                                  alpha, beta)
+    total = mse_power_exp_total(derive_moments(params), bracket)
+    without = mse_power_exp_total(derive_moments(error_free(params)), bracket)
     return _breakdown(without, total)
-
-
-def bias_power_exp(m: MomentSet, mu_x: float, alpha: float, beta: float) -> float:
-    """First-order bias of the power-exp corrected mean:
-    -(B cov_yxbar + A ratio var_xbar) / mu_x."""
-    c = correction_coefficients(alpha, beta)
-    return -(c.linear * m.cov_yxbar
-             + c.quadratic * m.ratio * m.var_xbar) / mu_x
 
 
 # -------------------------------------------------- weighted power-exp family
@@ -359,9 +286,9 @@ class MseQuadratic:
                               min_mse=self.mse(mu_y, first, second))
 
 
-def mse_quadratic(m: MomentSet, coeffs: CorrectionCoefficients) -> MseQuadratic:
-    """Assemble the MSE quadratic of the weighted power-exp family."""
-    B, A = coeffs.linear, coeffs.quadratic
+def mse_quadratic(m: MomentSet, bracket: Bracket) -> MseQuadratic:
+    """Assemble the MSE quadratic of the weighted family with ``bracket``."""
+    B, A = bracket.linear, bracket.quadratic
     r2_var = m.ratio**2 * m.var_xbar
     return MseQuadratic(
         mean_sq=m.var_ybar + B * B * r2_var - 2.0 * A * r2_var,
@@ -372,53 +299,42 @@ def mse_quadratic(m: MomentSet, coeffs: CorrectionCoefficients) -> MseQuadratic:
     )
 
 
-def mse_weighted_power_exp(m: MomentSet, mu_y: float, alpha: float, beta: float,
-                           mean_weight: float, aux_weight: float) -> float:
-    """First-order MSE of the weighted power-exp estimator at given weights."""
-    quad = mse_quadratic(m, correction_coefficients(alpha, beta))
-    return quad.mse(mu_y, mean_weight, aux_weight)
-
-
 def optimal_weighted_power_exp(m: MomentSet, mu_y: float,
-                               alpha: float, beta: float) -> OptimalWeights:
-    """Optimal weights of the weighted power-exp family for one (alpha, beta)."""
-    quad = mse_quadratic(m, correction_coefficients(alpha, beta))
-    return quad.minimize(mu_y)
+                               bracket: PowerExpBracket) -> OptimalWeights:
+    """Optimal weights of the weighted power-exp family for one bracket."""
+    return mse_quadratic(m, bracket).minimize(mu_y)
 
 
-def min_mse_weighted_power_exp(params: PopulationParams, alpha: float,
-                               beta: float) -> tuple[OptimalWeights, MseBreakdown]:
+def min_mse_weighted_power_exp(params: PopulationParams,
+                               bracket: PowerExpBracket,
+                               ) -> tuple[OptimalWeights, MseBreakdown]:
     """Optimal weighted power-exp estimator with its decomposed minimum.
 
     Like ``min_mse_weighted_diff``, the error-free leg re-optimizes at zero
     error variances.
     """
     opt = optimal_weighted_power_exp(derive_moments(params), params.mu_y,
-                                     alpha, beta)
+                                     bracket)
     opt_free = optimal_weighted_power_exp(derive_moments(error_free(params)),
-                                          params.mu_y, alpha, beta)
+                                          params.mu_y, bracket)
     return opt, _breakdown(opt_free.min_mse, opt.min_mse)
 
 
-def bias_weighted_power_exp(m: MomentSet, mu_x: float, mu_y: float,
-                            alpha: float, beta: float,
-                            mean_weight: float, aux_weight: float) -> float:
-    """First-order bias of the weighted power-exp estimator:
-    (w1-1) mu_y - w1 mu_y A var_xbar / mu_x^2 - w1 B cov_yxbar / mu_x
-    + w2 B var_xbar / mu_x."""
-    _check_weights(mean_weight, aux_weight)
-    c = correction_coefficients(alpha, beta)
-    return ((mean_weight - 1.0) * mu_y
-            - mean_weight * mu_y * (m.var_xbar * c.quadratic / mu_x**2)
-            - mean_weight * (c.linear / mu_x) * m.cov_yxbar
-            + aux_weight * (c.linear / mu_x) * m.var_xbar)
+# ------------------------------------------------------------------------ bias
 
-
-def dominance_weighted_power_exp(params: PopulationParams,
-                                 alpha: float, beta: float) -> bool:
-    """Does the optimally weighted power-exp estimator beat the mean per unit?"""
-    opt, _ = min_mse_weighted_power_exp(params, alpha, beta)
-    return opt.min_mse <= var_mean_per_unit(params).total
+def first_order_bias(spec: Estimator, m: MomentSet, mu_x: float,
+                     mu_y: float) -> float:
+    """First-order bias of ``spec``:
+    (w1 - 1) mu_y - w1 (B cov_yxbar + A ratio var_xbar) / mu_x
+    + w2 B var_xbar / mu_x, with B = A = 0 when there is no bracket (the
+    bias of the weighted difference is then exact)."""
+    w1, w2 = spec.mean_weight, spec.aux_weight
+    B = A = 0.0
+    if spec.bracket is not None:
+        B, A = spec.bracket.linear, spec.bracket.quadratic
+    return ((w1 - 1.0) * mu_y
+            - w1 * (B * m.cov_yxbar + A * m.ratio * m.var_xbar) / mu_x
+            + w2 * B * m.var_xbar / mu_x)
 
 
 # ------------------------------------------------------------------ efficiency
@@ -440,23 +356,25 @@ def pre(mse_reference: float, mse: float) -> float:
 
 # ---------------------------------------------------------------------- bridge
 
-def theory_mse(spec: EstimatorSpec, params: PopulationParams) -> float:
+def theory_mse(spec: Estimator, params: PopulationParams) -> float:
     """First-order MSE total predicted for ``spec`` under ``params``.
 
     This is the single source the simulation engine and the reports compare
-    against; totals agree with the decomposed forms by construction.
+    against. At weights (1, 0) it is the total of the mean per unit,
+    exp-ratio or power-exp breakdown; otherwise the weighted difference's
+    exact MSE without a bracket, and the weighted family's quadratic with
+    one.
     """
-    if isinstance(spec, MeanPerUnit):
-        return var_mean_per_unit(params).total
-    if isinstance(spec, ExpRatio):
-        return mse_exp_ratio(params).total
-    if isinstance(spec, WeightedDifference):
-        return mse_weighted_diff(derive_moments(params), params.mu_y,
-                                 spec.mean_weight, spec.aux_weight)
-    if isinstance(spec, PowerExpRatio):
-        return mse_power_exp(params, spec.alpha, spec.beta).total
-    if isinstance(spec, WeightedPowerExpRatio):
-        return mse_weighted_power_exp(derive_moments(params), params.mu_y,
-                                      spec.alpha, spec.beta,
-                                      spec.mean_weight, spec.aux_weight)
-    raise TypeError(f"unknown estimator spec: {spec!r}")
+    bracket = spec.bracket
+    if (spec.mean_weight, spec.aux_weight) == (1.0, 0.0):
+        if bracket is None:
+            return var_mean_per_unit(params).total
+        if bracket == ExpBracket():
+            return mse_exp_ratio(params).total
+        return mse_power_exp(params, bracket).total
+    m = derive_moments(params)
+    if bracket is None:
+        return mse_weighted_diff(m, params.mu_y, spec.mean_weight,
+                                 spec.aux_weight)
+    return mse_quadratic(m, bracket).mse(params.mu_y, spec.mean_weight,
+                                         spec.aux_weight)

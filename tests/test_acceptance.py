@@ -36,27 +36,21 @@ import pytest
 
 from meanerr.cli import main, theory_table
 from meanerr.estimators import (
-    ExpRatio,
-    MeanPerUnit,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
+    Estimator,
+    ExpBracket,
+    PowerExpBracket,
     evaluate_at_means,
 )
 from meanerr.ingest import preset
 from meanerr.moments import derive_moments
 from meanerr.simulate import ErrorLaw, SimulationConfig, run_monte_carlo
 from meanerr.theory import (
-    bias_exp_ratio,
-    bias_power_exp,
-    bias_weighted_power_exp,
-    correction_coefficients,
+    first_order_bias,
     mse_exp_ratio,
     mse_power_exp_total,
     mse_quadratic,
     mse_regression_diff,
     mse_weighted_diff,
-    mse_weighted_power_exp,
     min_mse_weighted_diff,
     min_mse_weighted_power_exp,
     optimal_weighted_diff,
@@ -116,26 +110,26 @@ def _benchmark_plan(params):
     """
     m = derive_moments(params)
     mu_x, mu_y = params.mu_x, params.mu_y
+
+    def biased(label, spec):
+        return label, spec, first_order_bias(spec, m, mu_x, mu_y)
+
     plan = [
-        ("mean_per_unit", MeanPerUnit(), None),
-        ("exp_ratio", ExpRatio(), bias_exp_ratio(m, mu_x)),
-        ("regression_diff",
-         WeightedDifference(1.0, regression_slope(m)), None),
+        ("mean_per_unit", Estimator(), None),
+        biased("exp_ratio", Estimator(bracket=ExpBracket())),
+        ("regression_diff", Estimator(1.0, regression_slope(m)), None),
     ]
     opt = optimal_weighted_diff(m, mu_y)
-    plan.append(("weighted_diff_optimal",
-                 WeightedDifference(opt.first, opt.second), None))
+    plan.append(("weighted_diff_optimal", Estimator(opt.first, opt.second),
+                 None))
     for alpha, beta in GRID:
-        plan.append((f"power_exp({alpha},{beta:g})",
-                     PowerExpRatio(float(alpha), beta),
-                     bias_power_exp(m, mu_x, alpha, beta)))
+        plan.append(biased(f"power_exp({alpha},{beta:g})",
+                           Estimator(bracket=PowerExpBracket(alpha, beta))))
     for alpha, beta in GRID:
-        opt = optimal_weighted_power_exp(m, mu_y, alpha, beta)
-        plan.append((
-            f"weighted_power_exp_optimal({alpha},{beta:g})",
-            WeightedPowerExpRatio(opt.first, opt.second, float(alpha), beta),
-            bias_weighted_power_exp(m, mu_x, mu_y, alpha, beta,
-                                    opt.first, opt.second)))
+        bracket = PowerExpBracket(alpha, beta)
+        opt = optimal_weighted_power_exp(m, mu_y, bracket)
+        plan.append(biased(f"weighted_power_exp_optimal({alpha},{beta:g})",
+                           Estimator(opt.first, opt.second, bracket)))
     return plan
 
 
@@ -170,7 +164,7 @@ def exact_gaussian_mse(spec, params, nodes=ORACLE_NODES):
 
 def closed_form(spec) -> bool:
     """Estimators linear in the means, whose first-order MSE is exact."""
-    return isinstance(spec, (MeanPerUnit, WeightedDifference))
+    return spec.bracket is None
 
 
 def first_order_gaps(n):
@@ -248,7 +242,7 @@ def test_criterion_4_closed_form_optima_beat_grid_and_random_search():
     opt = optimal_weighted_diff(m, mu_y)
     surfaces.append((opt, lambda w1, w2: mse_weighted_diff(m, mu_y, w1, w2)))
     for alpha, beta in GRID:
-        quad = mse_quadratic(m, correction_coefficients(alpha, beta))
+        quad = mse_quadratic(m, PowerExpBracket(alpha, beta))
         assert quad.positive_definite(mu_y)
         surfaces.append((quad.minimize(mu_y),
                          lambda w1, w2, q=quad: q.mse(mu_y, w1, w2)))
@@ -301,7 +295,7 @@ def test_criterion_5_monte_carlo_mse_verification(benchmark_sweep):
     small = run_monte_carlo(
         SimulationConfig(params=preset(PRESET), replicates=200_000,
                          seed=SWEEP_SEED + 1),
-        [MeanPerUnit()])[0]
+        [Estimator()])[0]
     assert abs(small.empirical_mse - small.theory_mse) \
         <= 3.0 * small.mc_se_mse
 
@@ -330,7 +324,7 @@ def test_oracle_refuses_near_pole():
     sd_x = math.sqrt(derive_moments(params).var_xbar)
     assert 2 * abs(params.mu_x) < POLE_CLEARANCE_SD * sd_x
     with pytest.raises(ValueError, match="pole"):
-        exact_gaussian_mse(MeanPerUnit(), params)
+        exact_gaussian_mse(Estimator(), params)
 
 
 def test_criterion_6_first_order_bias_verification(benchmark_sweep):
@@ -360,8 +354,8 @@ def test_criterion_7_invariant_suite():
                       mse_regression_diff(params),
                       min_mse_weighted_diff(params)[1]]
         for alpha, beta in GRID:
-            breakdowns.append(
-                min_mse_weighted_power_exp(params, alpha, beta)[1])
+            breakdowns.append(min_mse_weighted_power_exp(
+                params, PowerExpBracket(alpha, beta))[1])
         for breakdown in breakdowns:
             assert breakdown.without_me + breakdown.me_contribution \
                 == breakdown.total
@@ -374,20 +368,18 @@ def test_criterion_7_invariant_suite():
         ybars = np.array([mu_y, mu_y - 7.0, mu_y + 7.0])
         xbars = np.array([mu_x, mu_x + 9.0, mu_x - 9.0])
         for alpha, beta in GRID:
-            nested = evaluate_at_means(
-                WeightedPowerExpRatio(1.0, 0.0, float(alpha), beta),
-                ybars, xbars, mu_x)
-            direct = evaluate_at_means(
-                PowerExpRatio(float(alpha), beta), ybars, xbars, mu_x)
-            assert np.array_equal(nested, direct)
-            assert mse_weighted_power_exp(m, mu_y, alpha, beta, 1.0, 0.0) \
-                == pytest.approx(mse_power_exp_total(m, alpha, beta),
-                                 rel=1e-12)
+            bracket = PowerExpBracket(alpha, beta)
+            nested = evaluate_at_means(Estimator(1.0, 0.0, bracket),
+                                       ybars, xbars, mu_x)
+            assert np.array_equal(nested, ybars * bracket(xbars, mu_x))
+            assert mse_quadratic(m, bracket).mse(mu_y, 1.0, 0.0) \
+                == pytest.approx(mse_power_exp_total(m, bracket), rel=1e-12)
 
         # Nesting: zero correction coefficients reduce the weighted family's
         # MSE to the weighted difference's MSE.
+        zero = mse_quadratic(m, PowerExpBracket(0, 0.0))
         for w1, w2 in ((1.0, 0.5), (0.9, -0.3), (1.1, 0.0)):
-            assert mse_weighted_power_exp(m, mu_y, 0, 0.0, w1, w2) \
+            assert zero.mse(mu_y, w1, w2) \
                 == pytest.approx(mse_weighted_diff(m, mu_y, w1, w2),
                                  rel=1e-12, abs=1e-12)
 
@@ -406,7 +398,7 @@ def test_criterion_7_invariant_suite():
             SimulationConfig(params=rescaled, replicates=50_000,
                              seed=SWEEP_SEED + 2, error_law=law,
                              error_df=df),
-            [ExpRatio()])[0]
+            [Estimator(bracket=ExpBracket())])[0]
         theory_values.add(result.theory_mse)
         gap = abs(result.empirical_mse - result.theory_mse) \
             / result.theory_mse

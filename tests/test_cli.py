@@ -13,6 +13,7 @@ import pytest
 
 from meanerr import cli, theory
 from meanerr.cli import DEFAULT_GRID, main
+from meanerr.estimators import PowerExpBracket
 from meanerr.ingest import params_from_dict, preset
 from meanerr.moments import derive_moments
 from meanerr.theory import SingularSystemError, var_mean_per_unit
@@ -295,10 +296,10 @@ class TestTheoryCommand:
         assert rows[3]["aux_weight"] == opt.second
         for row, (alpha, beta) in zip(rows[4:8], DEFAULT_GRID):
             assert row["total"] == theory.mse_power_exp(
-                params, alpha, beta).total
+                params, PowerExpBracket(alpha, beta)).total
         for row, (alpha, beta) in zip(rows[8:12], DEFAULT_GRID):
             opt, breakdown = theory.min_mse_weighted_power_exp(
-                params, alpha, beta)
+                params, PowerExpBracket(alpha, beta))
             assert row["total"] == breakdown.total
             assert row["mean_weight"] == opt.first
             assert row["aux_weight"] == opt.second
@@ -369,7 +370,7 @@ class TestTheoryCommand:
         assert len(json_rows(out)) == 12
 
     def test_singular_optimum_is_per_row(self, capsys, monkeypatch):
-        def explode(params, alpha, beta):
+        def explode(params, bracket):
             raise SingularSystemError("synthetic singularity")
 
         monkeypatch.setattr(
@@ -517,7 +518,10 @@ class TestSimulateCommand:
         assert optimal["estimator"] == "weighted_power_exp_optimal"
         assert float(optimal["theory_mse"]) < 0
         assert optimal["relative_gap"] in (None, "")
-        assert optimal["note"] == cli._NON_POSITIVE_NOTE
+        # simulate has no pre column; what is undefined is the gap
+        assert optimal["note"] == (
+            "first-order mse is not positive: outside the expansion's "
+            "range, relative_gap undefined")
         assert float(optimal["empirical_mse"]) > 0
         for row in rows[:-1]:
             assert float(row["theory_mse"]) > 0

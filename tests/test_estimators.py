@@ -10,17 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanerr.estimators import (
+    Estimator,
     EvaluationError,
-    ExpRatio,
-    MeanPerUnit,
+    ExpBracket,
     ObservedSample,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
+    PowerExpBracket,
     evaluate,
     evaluate_at_means,
     hazard_free,
 )
+
+MEAN_PER_UNIT = Estimator()
+EXP_RATIO = Estimator(bracket=ExpBracket())
+
+
+def power_exp(alpha, beta):
+    return Estimator(bracket=PowerExpBracket(alpha, beta))
+
+
+def weighted_power_exp(mean_weight, aux_weight, alpha, beta):
+    return Estimator(mean_weight, aux_weight, PowerExpBracket(alpha, beta))
 
 
 @pytest.fixture
@@ -35,7 +44,8 @@ def positive_samples():
     values = st.floats(min_value=0.5, max_value=100.0,
                        allow_nan=False, allow_infinity=False)
     return st.lists(st.tuples(values, values), min_size=1, max_size=30).map(
-        ObservedSample.from_pairs)
+        lambda pairs: ObservedSample(y=np.array([y for y, _ in pairs]),
+                                     x=np.array([x for _, x in pairs])))
 
 
 class TestObservedSample:
@@ -51,10 +61,8 @@ class TestObservedSample:
         with pytest.raises(EvaluationError):
             ObservedSample(y=np.array([1.0, np.nan]), x=np.array([1.0, 2.0]))
 
-    def test_from_pairs_round_trip(self):
-        s = ObservedSample.from_pairs([(2.0, 4.0), (4.0, 8.0)])
-        assert s.pairs == [(2.0, 4.0), (4.0, 8.0)]
-        assert len(s) == 2
+    def test_length(self, small_sample):
+        assert len(small_sample) == 3
 
     def test_columns_are_read_only(self, small_sample):
         with pytest.raises(ValueError):
@@ -65,33 +73,33 @@ class TestExactReductions:
     """Identities that must hold bit-for-bit, not approximately."""
 
     def test_mean_per_unit(self, small_sample):
-        assert evaluate(MeanPerUnit(), small_sample, mu_x=12.0) == 4.0
+        assert evaluate(MEAN_PER_UNIT, small_sample, mu_x=12.0) == 4.0
 
     def test_exp_ratio_at_mu_x(self):
         """xbar = mu_x kills the exponent: the estimator is exactly ybar."""
         s = ObservedSample(y=np.array([3.0, 5.0]), x=np.array([10.0, 14.0]))
-        assert evaluate(ExpRatio(), s, mu_x=12.0) == 4.0
+        assert evaluate(EXP_RATIO, s, mu_x=12.0) == 4.0
 
     def test_weighted_identity_weights(self, small_sample):
-        assert evaluate(WeightedDifference(1.0, 0.0), small_sample, 12.0) == 4.0
+        assert evaluate(Estimator(1.0, 0.0), small_sample, 12.0) == 4.0
 
     def test_power_exp_zero_coefficients(self, small_sample):
-        assert evaluate(PowerExpRatio(0.0, 0.0), small_sample, 12.0) == 4.0
+        assert evaluate(power_exp(0.0, 0.0), small_sample, 12.0) == 4.0
 
     def test_power_exp_bracket_collapses_at_mu_x(self):
         """At xbar = mu_x the bracket is 2 - 1 = 1 for every (alpha, beta)."""
         s = ObservedSample(y=np.array([3.0, 5.0]), x=np.array([10.0, 14.0]))
         for alpha, beta in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0),
                             (2.5, -0.5)]:
-            assert evaluate(PowerExpRatio(alpha, beta), s, mu_x=12.0) == 4.0
+            assert evaluate(power_exp(alpha, beta), s, mu_x=12.0) == 4.0
 
     def test_weighted_power_exp_identity(self, small_sample):
-        assert evaluate(WeightedPowerExpRatio(1.0, 0.0, 0.0, 0.0),
+        assert evaluate(weighted_power_exp(1.0, 0.0, 0.0, 0.0),
                         small_sample, 12.0) == 4.0
 
     def test_weighted_power_exp_at_mu_x_scales_by_mean_weight(self):
         s = ObservedSample(y=np.array([3.0, 5.0]), x=np.array([10.0, 14.0]))
-        got = evaluate(WeightedPowerExpRatio(0.75, 0.5, 1.0, 1.0), s, 12.0)
+        got = evaluate(weighted_power_exp(0.75, 0.5, 1.0, 1.0), s, 12.0)
         assert got == 0.75 * 4.0
 
 
@@ -99,21 +107,21 @@ class TestReEvaluationOracles:
     """Recompute the defining expressions inline with math.* and compare."""
 
     def test_exp_ratio(self, small_sample):
-        got = evaluate(ExpRatio(), small_sample, mu_x=12.0)
+        got = evaluate(EXP_RATIO, small_sample, mu_x=12.0)
         assert got == pytest.approx(4.0 * math.exp((12.0 - 6.0) / (12.0 + 6.0)),
                                     rel=1e-15)
 
     def test_weighted_difference(self, small_sample):
-        got = evaluate(WeightedDifference(0.9, 0.4), small_sample, mu_x=12.0)
+        got = evaluate(Estimator(0.9, 0.4), small_sample, mu_x=12.0)
         assert got == pytest.approx(0.9 * 4.0 + 0.4 * (12.0 - 6.0), rel=1e-15)
 
     def test_power_exp_ratio(self, small_sample):
-        got = evaluate(PowerExpRatio(1.0, 1.0), small_sample, mu_x=12.0)
+        got = evaluate(power_exp(1.0, 1.0), small_sample, mu_x=12.0)
         bracket = 2.0 - (6.0 / 12.0) ** 1.0 * math.exp(1.0 * (6.0 - 12.0) / (6.0 + 12.0))
         assert got == pytest.approx(4.0 * bracket, rel=1e-15)
 
     def test_weighted_power_exp_ratio(self, small_sample):
-        got = evaluate(WeightedPowerExpRatio(0.9, -0.2, 1.0, -1.0),
+        got = evaluate(weighted_power_exp(0.9, -0.2, 1.0, -1.0),
                        small_sample, mu_x=12.0)
         bracket = 2.0 - (0.5) ** 1.0 * math.exp(-1.0 * (-6.0) / 18.0)
         assert got == pytest.approx((0.9 * 4.0 - 0.2 * 6.0) * bracket, rel=1e-15)
@@ -125,10 +133,13 @@ class TestFamilyNesting:
            st.floats(min_value=-3, max_value=3, allow_nan=False))
     @settings(max_examples=60)
     def test_unit_weights_reduce_to_power_exp(self, sample, alpha, beta):
+        # at weights (1, 0) the linear head is ybar exactly
         mu_x = 7.0
-        nested = evaluate(WeightedPowerExpRatio(1.0, 0.0, alpha, beta), sample, mu_x)
-        plain = evaluate(PowerExpRatio(alpha, beta), sample, mu_x)
-        assert nested == plain
+        ybar, xbar = float(sample.y.mean()), float(sample.x.mean())
+        plain = ybar * (2.0 - np.power(xbar / mu_x, alpha)
+                        * np.exp(beta * (xbar - mu_x) / (xbar + mu_x)))
+        assert evaluate(weighted_power_exp(1.0, 0.0, alpha, beta), sample,
+                        mu_x) == plain
 
     @given(positive_samples(),
            st.floats(min_value=-2, max_value=2, allow_nan=False),
@@ -136,22 +147,22 @@ class TestFamilyNesting:
     @settings(max_examples=60)
     def test_zero_coefficients_reduce_to_weighted(self, sample, w1, w2):
         mu_x = 7.0
-        nested = evaluate(WeightedPowerExpRatio(w1, w2, 0.0, 0.0), sample, mu_x)
-        plain = evaluate(WeightedDifference(w1, w2), sample, mu_x)
+        nested = evaluate(weighted_power_exp(w1, w2, 0.0, 0.0), sample, mu_x)
+        plain = evaluate(Estimator(w1, w2), sample, mu_x)
         assert nested == plain
 
     @given(positive_samples())
     @settings(max_examples=60)
     def test_weighted_identity_matches_mean(self, sample):
-        assert (evaluate(WeightedDifference(1.0, 0.0), sample, 7.0)
-                == evaluate(MeanPerUnit(), sample, 7.0))
+        assert (evaluate(Estimator(1.0, 0.0), sample, 7.0)
+                == float(sample.y.mean()))
 
 
 class TestContinuityProbe:
     def test_bracket_slope_is_stable_in_xbar(self):
         """Central finite-difference slope of the power-exp estimator in xbar
         settles as epsilon shrinks (no kinks or branch jumps nearby)."""
-        spec = PowerExpRatio(1.0, 1.0)
+        spec = power_exp(1.0, 1.0)
         ybar, xbar, mu_x = 127.0, 165.0, 170.0
         slopes = []
         for eps in (1e-3, 1e-4, 1e-5):
@@ -166,59 +177,144 @@ class TestHazards:
     def test_exp_ratio_singular_denominator(self):
         s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-4.0, -8.0]))
         with pytest.raises(EvaluationError, match="hazard"):
-            evaluate(ExpRatio(), s, mu_x=6.0)
+            evaluate(EXP_RATIO, s, mu_x=6.0)
 
     def test_power_exp_singular_denominator(self):
         s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-4.0, -8.0]))
         with pytest.raises(EvaluationError, match="hazard"):
-            evaluate(PowerExpRatio(1.0, 0.0), s, mu_x=6.0)
+            evaluate(power_exp(1.0, 0.0), s, mu_x=6.0)
 
     def test_fractional_power_of_negative_base(self):
         s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-2.0, -4.0]))
         with pytest.raises(EvaluationError, match="hazard"):
-            evaluate(PowerExpRatio(0.5, 0.0), s, mu_x=6.0)
+            evaluate(power_exp(0.5, 0.0), s, mu_x=6.0)
 
     def test_integral_power_of_negative_base_is_fine(self):
         s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-2.0, -4.0]))
-        got = evaluate(PowerExpRatio(2.0, 0.0), s, mu_x=6.0)
+        got = evaluate(power_exp(2.0, 0.0), s, mu_x=6.0)
         assert got == pytest.approx(1.5 * (2.0 - 0.25), rel=1e-15)
 
     def test_weighted_difference_has_no_hazard_there(self):
         s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-4.0, -8.0]))
-        assert evaluate(WeightedDifference(1.0, 1.0), s, 6.0) == 1.5 + 12.0
+        assert evaluate(Estimator(1.0, 1.0), s, 6.0) == 1.5 + 12.0
 
     def test_overflow_to_non_finite(self):
         s = ObservedSample(y=np.array([1.0]), x=np.array([-5.999999999]))
         with pytest.raises(EvaluationError, match="non-finite"):
-            evaluate(PowerExpRatio(0.0, -1000.0), s, mu_x=6.0)
+            evaluate(power_exp(0.0, -1000.0), s, mu_x=6.0)
 
     def test_non_finite_mu_x(self, small_sample):
         with pytest.raises(EvaluationError):
-            evaluate(MeanPerUnit(), small_sample, mu_x=math.nan)
+            evaluate(MEAN_PER_UNIT, small_sample, mu_x=math.nan)
 
     def test_hazard_free_vectorizes(self):
         xbar = np.array([-6.0, -3.0, 3.0])
-        mask = hazard_free(PowerExpRatio(0.5, 0.0), xbar, mu_x=6.0)
+        mask = hazard_free(power_exp(0.5, 0.0), xbar, mu_x=6.0)
         assert mask.tolist() == [False, False, True]
-        mask = hazard_free(ExpRatio(), xbar, mu_x=6.0)
+        mask = hazard_free(EXP_RATIO, xbar, mu_x=6.0)
         assert mask.tolist() == [False, True, True]
-        assert hazard_free(MeanPerUnit(), xbar, mu_x=6.0).all()
+        assert hazard_free(MEAN_PER_UNIT, xbar, mu_x=6.0).all()
 
 
 class TestSpecValidationAndDescribe:
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(EvaluationError):
-            WeightedDifference(math.inf, 0.0)
+            Estimator(math.inf, 0.0)
         with pytest.raises(EvaluationError):
-            PowerExpRatio(math.nan, 1.0)
+            PowerExpBracket(math.nan, 1.0)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
         ybar = rng.uniform(100.0, 150.0, size=50)
         xbar = rng.uniform(150.0, 190.0, size=50)
-        for spec in (MeanPerUnit(), ExpRatio(), WeightedDifference(0.99, 0.59),
-                     PowerExpRatio(1.0, -1.0),
-                     WeightedPowerExpRatio(0.99, -0.15, 1.0, 0.0)):
+        for spec in (MEAN_PER_UNIT, EXP_RATIO, Estimator(0.99, 0.59),
+                     power_exp(1.0, -1.0),
+                     weighted_power_exp(0.99, -0.15, 1.0, 0.0)):
             vec = evaluate_at_means(spec, ybar, xbar, 170.0)
             for i in range(50):
                 assert vec[i] == evaluate_at_means(spec, ybar[i], xbar[i], 170.0)
+
+
+# The five defining expressions and hazard rules of the estimator family as
+# separate formulas, the reference for the one kernel.
+
+def _reference_bracket(xbar, mu_x, alpha, beta):
+    return 2.0 - np.power(xbar / mu_x, alpha) * np.exp(
+        beta * (xbar - mu_x) / (xbar + mu_x))
+
+
+def _reference_value(family, w1, w2, alpha, beta, ybar, xbar, mu_x):
+    if family == "mean_per_unit":
+        return ybar
+    if family == "exp_ratio":
+        return ybar * np.exp((mu_x - xbar) / (mu_x + xbar))
+    if family == "weighted_difference":
+        return w1 * ybar + w2 * (mu_x - xbar)
+    if family == "power_exp":
+        return ybar * _reference_bracket(xbar, mu_x, alpha, beta)
+    return ((w1 * ybar + w2 * (mu_x - xbar))
+            * _reference_bracket(xbar, mu_x, alpha, beta))
+
+
+def _reference_hazard_free(family, alpha, xbar, mu_x):
+    if family in ("mean_per_unit", "weighted_difference"):
+        return np.ones(np.shape(xbar), dtype=bool)
+    ok = np.not_equal(xbar + mu_x, 0.0)
+    if family == "exp_ratio":
+        return ok
+    if mu_x == 0:
+        return np.zeros(np.shape(xbar), dtype=bool)
+    if not float(alpha).is_integer():
+        ok = ok & np.greater(np.asarray(xbar) / mu_x, 0.0)
+    return ok
+
+
+def _spec(family, w1, w2, alpha, beta):
+    return {
+        "mean_per_unit": MEAN_PER_UNIT,
+        "exp_ratio": EXP_RATIO,
+        "weighted_difference": Estimator(w1, w2),
+        "power_exp": power_exp(alpha, beta),
+        "weighted_power_exp": weighted_power_exp(w1, w2, alpha, beta),
+    }[family]
+
+
+FAMILIES = ("mean_per_unit", "exp_ratio", "weighted_difference", "power_exp",
+            "weighted_power_exp")
+
+
+class TestKernelEquivalence:
+    """The one kernel against the five separate expressions, bit for bit."""
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(20261018)
+        trials = 1500
+        for trial in range(trials):
+            family = FAMILIES[trial % len(FAMILIES)]
+            mu_x = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 200.0))
+            # xbar straddles 0 on about half the arrays
+            xbar = mu_x + abs(mu_x) * rng.uniform(0.05, 2.0) \
+                * rng.standard_normal(64)
+            xbar[:3] = (-mu_x, 0.0, -0.5 * mu_x)   # xbar + mu_x = 0, base <= 0
+            ybar = rng.uniform(-300.0, 300.0, 64)
+            w1, w2 = rng.uniform(-2.0, 2.0, 2)
+            alpha = float(rng.integers(-3, 4) if trial % 2
+                          else rng.uniform(-3.0, 3.0))
+            beta = float(rng.uniform(-3.0, 3.0))
+            spec = _spec(family, w1, w2, alpha, beta)
+            with np.errstate(all="ignore"):
+                got = evaluate_at_means(spec, ybar, xbar, mu_x)
+                want = _reference_value(family, w1, w2, alpha, beta, ybar,
+                                        xbar, mu_x)
+            assert np.array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64)), \
+                (trial, spec)
+            assert np.array_equal(hazard_free(spec, xbar, mu_x),
+                                  _reference_hazard_free(family, alpha, xbar,
+                                                         mu_x)), (trial, spec)
+
+    def test_zero_mu_x_is_all_hazard_for_power_exp(self):
+        xbar = np.array([-1.0, 0.5, 2.0])
+        assert not hazard_free(power_exp(1.0, 0.0), xbar, 0.0).any()
+        assert not hazard_free(power_exp(1.0, 0.0), 0.5, 0.0)
+        assert hazard_free(MEAN_PER_UNIT, 0.5, 0.0)

@@ -2,18 +2,18 @@
 
 import dataclasses
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meanerr import simulate
 from meanerr.estimators import (
+    Estimator,
     EvaluationError,
-    ExpRatio,
-    MeanPerUnit,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
+    ExpBracket,
+    PowerExpBracket,
     evaluate,
 )
 from meanerr.moments import PopulationParams
@@ -36,6 +36,7 @@ from meanerr.simulate import (
 from meanerr.theory import theory_mse
 
 SEED = 20260817
+EXP_RATIO = Estimator(bracket=ExpBracket())
 
 
 @pytest.fixture
@@ -254,7 +255,7 @@ class TestBlockKernel:
         monkeypatch.setattr(simulate, "_standardized_errors", poisoned)
         message = "sample values must be finite"
         with pytest.raises(EvaluationError, match=message):
-            run_monte_carlo(config, [MeanPerUnit()])
+            run_monte_carlo(config, [Estimator()])
         with pytest.raises(EvaluationError, match=message):
             draw_replicate(config, 0)
 
@@ -282,21 +283,24 @@ class TestErrorLaws:
 
 class TestRunMonteCarlo:
     def test_deterministic(self, config):
-        specs = [MeanPerUnit(), ExpRatio()]
+        specs = [Estimator(), EXP_RATIO]
         assert run_monte_carlo(config, specs) == run_monte_carlo(config, specs)
 
     def test_weighted_identity_matches_mean_per_unit(self, config):
-        mean_row, weighted_row = run_monte_carlo(
-            config, [MeanPerUnit(), WeightedDifference(1.0, 0.0)])
-        assert weighted_row.empirical_bias == mean_row.empirical_bias
-        assert weighted_row.empirical_mse == mean_row.empirical_mse
-        assert weighted_row.replicates_used == mean_row.replicates_used
+        # at weights (1, 0) the estimator is ybar itself
+        (row,) = run_monte_carlo(config, [Estimator(1.0, 0.0)])
+        ybars, _ = _replicate_means(config)
+        deviations = (ybars - config.params.mu_y).tolist()
+        assert row.empirical_bias == math.fsum(deviations) / ybars.size
+        assert row.empirical_mse == math.fsum(
+            d * d for d in deviations) / ybars.size
+        assert row.replicates_used == ybars.size
 
     def test_engine_matches_scalar_evaluation(self, config):
         # the vectorized engine path and the strict scalar evaluator must
         # produce the same replicate values bit for bit
         cfg = dataclasses.replace(config, replicates=120)
-        spec = ExpRatio()
+        spec = EXP_RATIO
         (row,) = run_monte_carlo(cfg, [spec])
         values = [evaluate(spec, draw_replicate(cfg, i), cfg.params.mu_x)
                   for i in range(cfg.replicates)]
@@ -308,8 +312,9 @@ class TestRunMonteCarlo:
 
     def test_no_skips_in_benchmark_scenario(self, config):
         cfg = dataclasses.replace(config, replicates=200)
-        specs = [MeanPerUnit(), ExpRatio(), WeightedDifference(1.0, 0.6),
-                 PowerExpRatio(1.0, 1.0), WeightedPowerExpRatio(1.0, 0.2, 0.0, 1.0)]
+        specs = [Estimator(), EXP_RATIO, Estimator(1.0, 0.6),
+                 Estimator(bracket=PowerExpBracket(1.0, 1.0)),
+                 Estimator(1.0, 0.2, PowerExpBracket(0.0, 1.0))]
         for row in run_monte_carlo(cfg, specs):
             assert row.replicates_skipped == 0
             assert row.replicates_used == cfg.replicates
@@ -322,8 +327,8 @@ class TestRunMonteCarlo:
                                   sigma_x2=25.0, rho=0.0,
                                   sigma_u2=0.0, sigma_v2=0.0)
         cfg = SimulationConfig(params=params, replicates=400, seed=SEED)
-        hazardous = PowerExpRatio(0.5, 0.0)
-        mean_row, hazard_row = run_monte_carlo(cfg, [MeanPerUnit(), hazardous])
+        hazardous = Estimator(bracket=PowerExpBracket(0.5, 0.0))
+        mean_row, hazard_row = run_monte_carlo(cfg, [Estimator(), hazardous])
         assert mean_row.replicates_skipped == 0
         assert 0 < hazard_row.replicates_skipped < cfg.replicates
         assert (hazard_row.replicates_used + hazard_row.replicates_skipped
@@ -332,7 +337,7 @@ class TestRunMonteCarlo:
 
     def test_theory_column_uses_effective_sample_size(self, config):
         cfg = dataclasses.replace(config, sample_n=50)
-        spec = ExpRatio()
+        spec = EXP_RATIO
         (row,) = run_monte_carlo(cfg, [spec])
         expected = theory_mse(spec, dataclasses.replace(cfg.params, n=50))
         assert row.theory_mse == expected
@@ -343,7 +348,7 @@ class TestRunMonteCarlo:
         # out of routine runs
         cfg = SimulationConfig(params=table_params, replicates=20_000,
                                seed=SEED)
-        (row,) = run_monte_carlo(cfg, [MeanPerUnit()])
+        (row,) = run_monte_carlo(cfg, [Estimator()])
         assert row.replicates_skipped == 0
         assert abs(row.empirical_mse - row.theory_mse) <= 4.0 * row.mc_se_mse
 
@@ -376,7 +381,7 @@ class TestMseVarianceSum:
         for trial in range(3000):
             size = int(rng.integers(2, 13))
             ybars = mu_y + rng.standard_normal(size) * rng.uniform(0.1, 100.0)
-            result = _aggregate_spec(MeanPerUnit(), ybars, ybars, mu_y=mu_y,
+            result = _aggregate_spec(Estimator(), ybars, ybars, mu_y=mu_y,
                                      mu_x=170.0, theory=1.0)
             squares = (ybars - mu_y) * (ybars - mu_y)
             mse = math.fsum(squares) / size
@@ -388,7 +393,7 @@ class TestMseVarianceSum:
 class TestSimulationResult:
     def test_mc_se_bias_recovers_replicate_variance(self):
         result = SimulationResult(
-            estimator=MeanPerUnit(), empirical_bias=0.5, empirical_mse=1.0,
+            estimator=Estimator(), empirical_bias=0.5, empirical_mse=1.0,
             mc_se_mse=0.1, replicates_used=100, replicates_skipped=0,
             theory_mse=1.0)
         var = (1.0 - 0.25) * 100 / 99
@@ -396,7 +401,7 @@ class TestSimulationResult:
 
     def test_mc_se_bias_undefined_for_single_replicate(self):
         result = SimulationResult(
-            estimator=MeanPerUnit(), empirical_bias=0.0, empirical_mse=0.0,
+            estimator=Estimator(), empirical_bias=0.0, empirical_mse=0.0,
             mc_se_mse=math.nan, replicates_used=1, replicates_skipped=99,
             theory_mse=1.0)
         assert math.isnan(result.mc_se_bias)
@@ -410,23 +415,23 @@ class TestAllReplicatesSkipped:
         xbars = np.full(5, -170.0)
         ybars = np.ones(5)
         with pytest.raises(AllReplicatesSkippedError):
-            _aggregate_spec(ExpRatio(), ybars, xbars, mu_y=127.0, mu_x=170.0,
+            _aggregate_spec(EXP_RATIO, ybars, xbars, mu_y=127.0, mu_x=170.0,
                             theory=1.0)
 
 
 class TestConvergenceSweep:
     def test_rejects_bad_grids(self, config):
         with pytest.raises(ConfigError):
-            convergence_sweep(config, ExpRatio(), [])
+            convergence_sweep(config, EXP_RATIO, [])
         with pytest.raises(ConfigError):
-            convergence_sweep(config, ExpRatio(), [50, 10])
+            convergence_sweep(config, EXP_RATIO, [50, 10])
         with pytest.raises(ConfigError):
-            convergence_sweep(config, ExpRatio(), [10, 10])
+            convergence_sweep(config, EXP_RATIO, [10, 10])
         with pytest.raises(ConfigError):
-            convergence_sweep(config, ExpRatio(), [1, 10])
+            convergence_sweep(config, EXP_RATIO, [1, 10])
 
     def test_single_point_grid(self, config):
-        points = convergence_sweep(config, ExpRatio(), [10])
+        points = convergence_sweep(config, EXP_RATIO, [10])
         assert len(points) == 1
         point = points[0]
         assert point.n == 10
@@ -438,10 +443,19 @@ class TestConvergenceSweep:
         # is pure Monte Carlo noise (about sqrt(2/replicates) relative)
         params = dataclasses.replace(table_params)
         cfg = SimulationConfig(params=params, replicates=2000, seed=SEED)
-        for point in convergence_sweep(cfg, MeanPerUnit(), [5, 20, 80]):
+        for point in convergence_sweep(cfg, Estimator(), [5, 20, 80]):
             assert point.relative_gap < 0.15
 
+    def test_script_runs(self, capsys):
+        # scripts/convergence_sweep.py drives this function and nothing
+        # else runs it, so an API change would break it silently
+        script = Path(__file__).resolve().parents[1] / "scripts" / \
+            "convergence_sweep.py"
+        main = runpy.run_path(str(script))["main"]
+        assert main(["--replicates", "200", "--n-grid", "10,20"]) == 0
+        assert "weights re-derived per n" in capsys.readouterr().out
+
     def test_theory_column_decreases_in_n(self, config):
-        points = convergence_sweep(config, ExpRatio(), [10, 40, 160])
+        points = convergence_sweep(config, EXP_RATIO, [10, 40, 160])
         theories = [p.theory_mse for p in points]
         assert theories == sorted(theories, reverse=True)

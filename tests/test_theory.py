@@ -13,34 +13,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meanerr.estimators import (
-    ExpRatio,
-    MeanPerUnit,
-    PowerExpRatio,
-    WeightedDifference,
-    WeightedPowerExpRatio,
-)
+from meanerr.cli import _row_plan
+from meanerr.estimators import Estimator, ExpBracket, PowerExpBracket
 from meanerr.moments import MomentSet, derive_moments, error_free
 from meanerr.theory import (
-    CorrectionCoefficients,
     MseQuadratic,
     SingularSystemError,
-    bias_exp_ratio,
-    bias_power_exp,
-    bias_weighted_power_exp,
-    correction_coefficients,
-    dominance_exp_ratio,
-    dominance_weighted_power_exp,
+    first_order_bias,
     min_mse_weighted_diff,
     min_mse_weighted_power_exp,
     mse_exp_ratio,
-    mse_exp_ratio_total,
     mse_power_exp,
     mse_power_exp_total,
     mse_quadratic,
     mse_regression_diff,
     mse_weighted_diff,
-    mse_weighted_power_exp,
     optimal_weighted_diff,
     optimal_weighted_power_exp,
     pre,
@@ -52,6 +39,18 @@ from meanerr.theory import (
 from conftest import population_params
 
 PAIRS = [(1, 0), (0, 1), (1, 1), (1, -1)]
+EXP_RATIO = Estimator(bracket=ExpBracket())
+
+
+def power_exp(alpha, beta):
+    return Estimator(bracket=PowerExpBracket(alpha, beta))
+
+
+def exp_ratio_moment_form(m):
+    """First-order MSE of the exponential ratio estimator in moment form:
+    var_ybar + ratio^2 var_xbar / 4 - ratio cov_yxbar."""
+    return (m.var_ybar + 0.25 * m.ratio * m.ratio * m.var_xbar
+            - m.ratio * m.cov_yxbar)
 
 
 class TestMeanPerUnit:
@@ -71,7 +70,8 @@ class TestMeanPerUnit:
 class TestExpRatio:
     def test_benchmark_bias(self, table_params):
         m = derive_moments(table_params)
-        b = bias_exp_ratio(m, table_params.mu_x)
+        b = first_order_bias(EXP_RATIO, m, table_params.mu_x,
+                             table_params.mu_y)
         assert b == pytest.approx(-0.032517364951486, rel=1e-12)
 
     def test_benchmark_mse(self, table_params):
@@ -87,7 +87,7 @@ class TestExpRatio:
         # near-identical large terms when the total is close to zero
         m = derive_moments(params)
         decomposed = mse_exp_ratio(params)
-        moment_form = mse_exp_ratio_total(m)
+        moment_form = exp_ratio_moment_form(m)
         envelope = (m.var_ybar + 0.25 * m.ratio**2 * m.var_xbar
                     + abs(m.ratio * m.cov_yxbar))
         assert decomposed.total == pytest.approx(moment_form, rel=1e-9,
@@ -104,16 +104,19 @@ class TestExpRatio:
         assert more_v >= base
 
     def test_dominance_report(self, table_params):
-        report = dominance_exp_ratio(table_params)
-        assert report.holds
-        assert report.ratio == pytest.approx(1.258871526864795, rel=1e-12)
+        # the exp ratio beats the mean per unit; with ratio * cov_yxbar > 0
+        # that is ratio * var_xbar / cov_yxbar <= 4
+        m = derive_moments(table_params)
+        assert (mse_exp_ratio(table_params).total
+                <= var_mean_per_unit(table_params).total)
+        assert m.ratio * m.var_xbar / m.cov_yxbar == pytest.approx(
+            1.258871526864795, rel=1e-12)
 
     def test_dominance_ratio_none_when_uncorrelated(self, table_params):
-        params = dataclasses.replace(table_params, rho=0.0)
-        report = dominance_exp_ratio(params)
-        assert report.ratio is None
         # with rho = 0 the correction only adds variance
-        assert not report.holds
+        params = dataclasses.replace(table_params, rho=0.0)
+        assert derive_moments(params).cov_yxbar == 0.0
+        assert mse_exp_ratio(params).total > var_mean_per_unit(params).total
 
 
 class TestWeightedDifference:
@@ -209,18 +212,32 @@ class TestCorrectionCoefficients:
         (1, -1, 0.5, -0.125),
     ])
     def test_exact_values(self, alpha, beta, linear, quadratic):
-        c = correction_coefficients(alpha, beta)
+        c = PowerExpBracket(alpha, beta)
         assert c.linear == linear
         assert c.quadratic == quadratic
 
     def test_pair_equivalence(self):
         # (1, -1) and (0, 1) share both coefficients, so the whole family
         # of downstream results coincides for them
-        assert correction_coefficients(1, -1) == correction_coefficients(0, 1)
+        a, b = PowerExpBracket(1, -1), PowerExpBracket(0, 1)
+        assert (a.linear, a.quadratic) == (b.linear, b.quadratic)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            correction_coefficients(math.inf, 0.0)
+            PowerExpBracket(math.inf, 0.0)
+
+    @pytest.mark.parametrize("bracket", [
+        ExpBracket(), PowerExpBracket(0, 0), PowerExpBracket(1, 0),
+        PowerExpBracket(0, 1), PowerExpBracket(1, 1), PowerExpBracket(1, -1),
+    ], ids=repr)
+    def test_coefficients_expand_the_bracket(self, bracket):
+        # g(mu_x (1 + d)) - (1 - B d - A d^2) is O(d^3); at alpha in {0, 1}
+        # the shipped A is the Taylor coefficient
+        mu_x = 170.0
+        for d in (1e-2, 1e-3):
+            g = float(bracket(mu_x * (1.0 + d), mu_x))
+            rest = g - (1.0 - bracket.linear * d - bracket.quadratic * d * d)
+            assert abs(rest) <= 2.0 * d**3
 
 
 POWER_EXP_BENCHMARK = {
@@ -239,25 +256,27 @@ class TestPowerExpRatio:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_benchmark_mse_and_bias(self, table_params, pair):
         total, without, me, bias = POWER_EXP_BENCHMARK[pair]
-        bd = mse_power_exp(table_params, *pair)
+        bd = mse_power_exp(table_params, PowerExpBracket(*pair))
         assert bd.total == pytest.approx(total, rel=1e-12)
         assert bd.without_me == pytest.approx(without, rel=1e-12)
         assert bd.me_contribution == pytest.approx(me, rel=1e-11)
         m = derive_moments(table_params)
-        assert bias_power_exp(m, table_params.mu_x, *pair) == pytest.approx(
+        assert first_order_bias(power_exp(*pair), m, table_params.mu_x,
+                                table_params.mu_y) == pytest.approx(
             bias, rel=1e-12)
 
     @given(population_params())
     def test_beta_one_alpha_zero_matches_exp_ratio(self, params):
         # B = 1/2 either way, so the first-order MSEs coincide
         m = derive_moments(params)
-        assert mse_power_exp_total(m, 0.0, 1.0) == pytest.approx(
-            mse_exp_ratio_total(m), rel=1e-12)
+        assert mse_power_exp_total(m, PowerExpBracket(0.0, 1.0)) == \
+            pytest.approx(exp_ratio_moment_form(m), rel=1e-12)
 
     def test_alpha_zero_beta_zero_is_plain_variance(self, table_params):
         m = derive_moments(table_params)
-        assert mse_power_exp_total(m, 0.0, 0.0) == m.var_ybar
-        assert bias_power_exp(m, table_params.mu_x, 0.0, 0.0) == 0.0
+        assert mse_power_exp_total(m, PowerExpBracket(0.0, 0.0)) == m.var_ybar
+        assert first_order_bias(power_exp(0.0, 0.0), m, table_params.mu_x,
+                                table_params.mu_y) == 0.0
 
 
 QUAD_BENCHMARK = {
@@ -289,7 +308,7 @@ class TestWeightedPowerExp:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_quadratic_coefficients(self, table_params, pair):
         quad = mse_quadratic(derive_moments(table_params),
-                             correction_coefficients(*pair))
+                             PowerExpBracket(*pair))
         expect = QUAD_BENCHMARK[pair]
         got = (quad.mean_sq, quad.aux_sq, quad.cross, quad.mean_lin,
                quad.aux_lin)
@@ -299,16 +318,17 @@ class TestWeightedPowerExp:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_optimum_benchmark(self, table_params, pair):
         first, second, min_mse, min_free, me, bias = OPTIMA_BENCHMARK[pair]
-        opt, bd = min_mse_weighted_power_exp(table_params, *pair)
+        bracket = PowerExpBracket(*pair)
+        opt, bd = min_mse_weighted_power_exp(table_params, bracket)
         assert opt.first == pytest.approx(first, rel=1e-9)
         assert opt.second == pytest.approx(second, rel=1e-9)
         assert opt.min_mse == pytest.approx(min_mse, rel=1e-12)
         assert bd.without_me == pytest.approx(min_free, rel=1e-12)
         assert bd.me_contribution == pytest.approx(me, rel=1e-11)
         m = derive_moments(table_params)
-        got_bias = bias_weighted_power_exp(
-            m, table_params.mu_x, table_params.mu_y, *pair,
-            mean_weight=opt.first, aux_weight=opt.second)
+        got_bias = first_order_bias(
+            Estimator(opt.first, opt.second, bracket), m, table_params.mu_x,
+            table_params.mu_y)
         assert got_bias == pytest.approx(bias, rel=1e-9)
 
     @given(population_params(),
@@ -319,7 +339,7 @@ class TestWeightedPowerExp:
         # only meaningful while the quadratic is positive definite; outside
         # that regime the stationary point is a saddle by design
         m = derive_moments(params)
-        quad = mse_quadratic(m, correction_coefficients(*pair))
+        quad = mse_quadratic(m, PowerExpBracket(*pair))
         assume(quad.positive_definite(params.mu_y))
         opt = quad.minimize(params.mu_y)
         anywhere = quad.mse(params.mu_y, w1, w2)
@@ -331,13 +351,14 @@ class TestWeightedPowerExp:
     def test_nesting_weights_one_zero_gives_power_exp(self, params, pair):
         # w1 = 1, w2 = 0 collapses the quadratic onto the unweighted form
         m = derive_moments(params)
-        quad = mse_quadratic(m, correction_coefficients(*pair))
-        B = correction_coefficients(*pair).linear
+        bracket = PowerExpBracket(*pair)
+        quad = mse_quadratic(m, bracket)
+        B = bracket.linear
         envelope = (m.var_ybar + (B * m.ratio)**2 * m.var_xbar
                     + 2.0 * abs(B * m.ratio * m.cov_yxbar)
                     + abs(quad.mean_lin))
         assert quad.mse(params.mu_y, 1.0, 0.0) == pytest.approx(
-            mse_power_exp_total(m, *pair), rel=1e-9, abs=1e-9 * envelope)
+            mse_power_exp_total(m, bracket), rel=1e-9, abs=1e-9 * envelope)
 
     @given(population_params(),
            st.floats(-3.0, 3.0, allow_nan=False),
@@ -345,14 +366,14 @@ class TestWeightedPowerExp:
     def test_nesting_zero_coefficients_give_weighted_diff(self, params, w1, w2):
         # B = A = 0 collapses the quadratic onto the weighted difference
         m = derive_moments(params)
-        quad = mse_quadratic(m, correction_coefficients(0.0, 0.0))
+        quad = mse_quadratic(m, PowerExpBracket(0.0, 0.0))
         assert quad.mse(params.mu_y, w1, w2) == pytest.approx(
             mse_weighted_diff(m, params.mu_y, w1, w2), rel=1e-12, abs=1e-12)
 
     def test_stationarity_of_minimum(self, table_params):
         m = derive_moments(table_params)
         for pair in PAIRS:
-            quad = mse_quadratic(m, correction_coefficients(*pair))
+            quad = mse_quadratic(m, PowerExpBracket(*pair))
             opt = quad.minimize(table_params.mu_y)
             for dw1, dw2 in ((1e-4, 0), (-1e-4, 0), (0, 1e-4), (0, -1e-4)):
                 perturbed = quad.mse(table_params.mu_y,
@@ -360,8 +381,11 @@ class TestWeightedPowerExp:
                 assert perturbed >= opt.min_mse - 1e-12 * opt.min_mse
 
     def test_dominance_over_mean_per_unit(self, table_params):
+        reference = var_mean_per_unit(table_params).total
         for pair in PAIRS:
-            assert dominance_weighted_power_exp(table_params, *pair)
+            opt, _ = min_mse_weighted_power_exp(table_params,
+                                                PowerExpBracket(*pair))
+            assert opt.min_mse <= reference
 
     def test_singular_system_raises(self):
         quad = MseQuadratic(mean_sq=1.0, aux_sq=1.0, cross=1.0,
@@ -372,10 +396,21 @@ class TestWeightedPowerExp:
     def test_mse_helper_matches_quadratic(self, table_params):
         m = derive_moments(table_params)
         for pair in PAIRS:
-            quad = mse_quadratic(m, correction_coefficients(*pair))
-            assert mse_weighted_power_exp(
-                m, table_params.mu_y, *pair, mean_weight=0.9,
-                aux_weight=-0.3) == quad.mse(table_params.mu_y, 0.9, -0.3)
+            bracket = PowerExpBracket(*pair)
+            quad = mse_quadratic(m, bracket)
+            assert theory_mse(Estimator(0.9, -0.3, bracket), table_params) \
+                == quad.mse(table_params.mu_y, 0.9, -0.3)
+
+    @given(population_params())
+    def test_weighted_exp_ratio_nests_exp_ratio(self, params):
+        # the exp bracket's coefficients in the weighted quadratic give the
+        # exp-ratio MSE back at weights (1, 0)
+        m = derive_moments(params)
+        quad = mse_quadratic(m, ExpBracket())
+        envelope = (m.var_ybar + 0.25 * m.ratio**2 * m.var_xbar
+                    + abs(m.ratio * m.cov_yxbar) + abs(quad.mean_lin))
+        assert quad.mse(params.mu_y, 1.0, 0.0) == pytest.approx(
+            exp_ratio_moment_form(m), rel=1e-9, abs=1e-9 * envelope)
 
 
 PRE_BENCHMARK = [
@@ -407,9 +442,10 @@ class TestPre:
         opt, _ = min_mse_weighted_diff(table_params)
         assert pre(ref, opt.min_mse) == pytest.approx(944.943155, abs=1e-6)
         for pair, unweighted, weighted in PRE_BENCHMARK[4:]:
-            assert pre(ref, mse_power_exp(table_params, *pair).total
+            bracket = PowerExpBracket(*pair)
+            assert pre(ref, mse_power_exp(table_params, bracket).total
                        ) == pytest.approx(unweighted, abs=1e-6)
-            opt, _ = min_mse_weighted_power_exp(table_params, *pair)
+            opt, _ = min_mse_weighted_power_exp(table_params, bracket)
             assert pre(ref, opt.min_mse) == pytest.approx(weighted, abs=1e-6)
 
     def test_rejects_nonpositive(self):
@@ -447,9 +483,10 @@ class TestRescaledScenario:
     def test_power_exp(self, table_params, pair, total, bias):
         params = dataclasses.replace(table_params, n=200)
         m = derive_moments(params)
-        assert mse_power_exp_total(m, *pair) == pytest.approx(total, rel=1e-12)
-        assert bias_power_exp(m, params.mu_x, *pair) == pytest.approx(
-            bias, rel=1e-9)
+        assert mse_power_exp_total(m, PowerExpBracket(*pair)) == \
+            pytest.approx(total, rel=1e-12)
+        assert first_order_bias(power_exp(*pair), m, params.mu_x,
+                                params.mu_y) == pytest.approx(bias, rel=1e-9)
 
     @pytest.mark.parametrize("pair,first,second,min_mse,bias", [
         ((1, 0), 0.999617121331, -0.153278654539, 0.693515078229,
@@ -463,39 +500,55 @@ class TestRescaledScenario:
                                 min_mse, bias):
         params = dataclasses.replace(table_params, n=200)
         m = derive_moments(params)
-        opt = optimal_weighted_power_exp(m, params.mu_y, *pair)
+        bracket = PowerExpBracket(*pair)
+        opt = optimal_weighted_power_exp(m, params.mu_y, bracket)
         assert opt.first == pytest.approx(first, rel=1e-9)
         assert opt.second == pytest.approx(second, rel=1e-9)
         assert opt.min_mse == pytest.approx(min_mse, rel=1e-12)
-        got_bias = bias_weighted_power_exp(
-            m, params.mu_x, params.mu_y, *pair,
-            mean_weight=opt.first, aux_weight=opt.second)
+        got_bias = first_order_bias(Estimator(opt.first, opt.second, bracket),
+                                    m, params.mu_x, params.mu_y)
         assert got_bias == pytest.approx(bias, rel=1e-9)
 
 
 class TestDispatcher:
     def test_matches_per_estimator_functions(self, table_params):
         m = derive_moments(table_params)
+        pe = PowerExpBracket(1.0, 1.0)
         cases = [
-            (MeanPerUnit(), var_mean_per_unit(table_params).total),
-            (ExpRatio(), mse_exp_ratio(table_params).total),
-            (WeightedDifference(0.9, 0.4),
+            (Estimator(), var_mean_per_unit(table_params).total),
+            (EXP_RATIO, mse_exp_ratio(table_params).total),
+            (Estimator(0.9, 0.4),
              mse_weighted_diff(m, table_params.mu_y, 0.9, 0.4)),
-            (PowerExpRatio(1.0, 1.0),
-             mse_power_exp(table_params, 1.0, 1.0).total),
-            (WeightedPowerExpRatio(0.9, -0.4, 1.0, 0.0),
-             mse_weighted_power_exp(m, table_params.mu_y, 1.0, 0.0,
-                                    mean_weight=0.9, aux_weight=-0.4)),
+            (Estimator(bracket=pe), mse_power_exp(table_params, pe).total),
+            (Estimator(0.9, -0.4, pe),
+             mse_quadratic(m, pe).mse(table_params.mu_y, 0.9, -0.4)),
+            (Estimator(0.9, -0.4, ExpBracket()),
+             mse_quadratic(m, ExpBracket()).mse(table_params.mu_y, 0.9,
+                                                -0.4)),
         ]
         for spec, expected in cases:
             assert theory_mse(spec, table_params) == expected
 
-    def test_rejects_unknown_spec(self, table_params):
-        with pytest.raises(TypeError):
-            theory_mse(object(), table_params)
+    def test_uncorrelated_regression_row_is_mean_per_unit(self, table_params):
+        # at rho = 0 the regression slope is 0, so the regression_diff spec
+        # is the mean per unit's and takes its re-summed total, which may
+        # differ by one ulp from the weighted difference's formula when
+        # sigma_u2 > sigma_y2
+        params = dataclasses.replace(table_params, rho=0.0, sigma_y2=1.0,
+                                     sigma_u2=3.7)
+        plan = {row.label: row for row in _row_plan(params, ())}
+        spec = plan["regression_diff"].spec
+        assert spec == plan["mean_per_unit"].spec == Estimator()
+        total = theory_mse(spec, params)
+        assert total == var_mean_per_unit(params).total
+        formula = mse_weighted_diff(derive_moments(params), params.mu_y,
+                                    1.0, 0.0)
+        assert total == 0.47 and formula == 0.47000000000000003
+        assert abs(total - formula) == math.ulp(formula)
 
     @given(population_params(), st.sampled_from(PAIRS))
     @settings(max_examples=30)
     def test_totals_agree_with_breakdowns(self, params, pair):
-        bd = mse_power_exp(params, *pair)
-        assert theory_mse(PowerExpRatio(*map(float, pair)), params) == bd.total
+        bracket = PowerExpBracket(*map(float, pair))
+        bd = mse_power_exp(params, bracket)
+        assert theory_mse(Estimator(bracket=bracket), params) == bd.total
