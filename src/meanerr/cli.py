@@ -17,9 +17,10 @@ Three subcommands share one source-resolution and rendering pipeline:
     empirical bias and MSE next to the first-order theory value with the
     relative gap per row.
 
-Exit codes: 0 success, 1 usage error, 2 data or configuration error,
-3 tolerance failure (``simulate --tolerance`` exceeded).  Output is a pure
-function of the flag set.
+Exit codes: 0 success, 1 usage error, 2 data or configuration error
+(including a run too large to allocate), 3 tolerance failure
+(``simulate --tolerance`` exceeded).  Output is a pure function of the flag
+set.
 """
 
 from __future__ import annotations
@@ -253,16 +254,12 @@ def simulation_table(config: SimulationConfig,
                      ) -> tuple[ReportTable, float]:
     """Monte Carlo comparison table plus the worst relative gap.
 
-    Optimal coefficients and theory values are both taken at the effective
-    sample size, so the comparison is apples-to-apples when ``sample_n``
-    overrides ``params.n``. A row whose first-order MSE is not positive
-    gets no relative gap, a note that says why, and is left out of the
-    worst gap.
+    Optimal coefficients and theory values are both taken at
+    ``config.params``, the scenario the replicates are drawn from. A row
+    whose first-order MSE is not positive gets no relative gap, a note that
+    says why, and is left out of the worst gap.
     """
-    effective = config.params
-    if config.sample_size != config.params.n:
-        effective = dataclasses.replace(config.params, n=config.sample_size)
-    plan = _row_plan(effective, tuple(grid))
+    plan = _row_plan(config.params, tuple(grid))
     # theory_mse comes from each spec inside run_monte_carlo, not from the
     # breakdowns, whose totals are formed differently (re-summed legs,
     # rearranged minima)
@@ -292,7 +289,7 @@ def simulation_table(config: SimulationConfig,
                 "replicates_skipped": result.replicates_skipped,
             })
         rows.append(row)
-    title = (f"monte carlo (n={config.sample_size}, "
+    title = (f"monte carlo (n={config.params.n}, "
              f"replicates={config.replicates}, seed={config.seed}, "
              f"law={config.error_law.value})")
     return (ReportTable(title=title, columns=_SIMULATE_COLUMNS,
@@ -555,7 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParameterError, DatasetError, ConfigError,
-            AllReplicatesSkippedError, OSError) as exc:
+            AllReplicatesSkippedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -22,7 +22,6 @@ tens of standard deviations away and the counter stays at zero.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,10 +46,8 @@ __all__ = [
     "ErrorLaw",
     "SimulationConfig",
     "SimulationResult",
-    "ConvergencePoint",
     "draw_replicate",
     "run_monte_carlo",
-    "convergence_sweep",
 ]
 
 _MAX_SEED = 2**64
@@ -86,19 +83,16 @@ def _check_int(value, name: str, minimum: int) -> None:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One simulation scenario.
+    """One simulation scenario; each replicate draws ``params.n`` units.
 
-    ``sample_n`` overrides ``params.n`` for convergence studies without
-    touching the population; when None, ``params.n`` is used. ``error_df``
-    is the Student-t degrees of freedom; it is required for (and only
-    accepted with) the Student-t law, and must exceed 4 so the variance of
-    the squared errors is finite.
+    ``error_df`` is the Student-t degrees of freedom; it is required for
+    (and only accepted with) the Student-t law, and must exceed 4 so the
+    variance of the squared errors is finite.
     """
 
     params: PopulationParams
     replicates: int
     seed: int
-    sample_n: Optional[int] = None
     error_law: ErrorLaw = ErrorLaw.GAUSSIAN
     error_df: Optional[float] = None
 
@@ -110,8 +104,6 @@ class SimulationConfig:
         _check_int(self.seed, "seed", 0)
         if self.seed >= _MAX_SEED:
             raise ConfigError(f"seed must be below 2**64, got {self.seed}")
-        if self.sample_n is not None:
-            _check_int(self.sample_n, "sample_n", 2)
         if not isinstance(self.error_law, ErrorLaw):
             raise ConfigError(f"error_law must be an ErrorLaw, got {self.error_law!r}")
         if self.error_law is ErrorLaw.STUDENT_T:
@@ -125,10 +117,6 @@ class SimulationConfig:
             raise ConfigError(
                 f"error_df only applies to the Student-t law, got "
                 f"{self.error_df!r} with {self.error_law.value}")
-
-    @property
-    def sample_size(self) -> int:
-        return self.params.n if self.sample_n is None else self.sample_n
 
 
 @dataclass(frozen=True)
@@ -155,16 +143,6 @@ class SimulationResult:
             return math.nan
         var = (self.empirical_mse - self.empirical_bias**2) * used / (used - 1)
         return math.sqrt(max(var, 0.0) / used)
-
-
-@dataclass(frozen=True)
-class ConvergencePoint:
-    """One sample size of a convergence sweep."""
-
-    n: int
-    empirical_mse: float
-    theory_mse: float
-    relative_gap: float
 
 
 def _substream(seed: int, replicate_index: int) -> np.random.Generator:
@@ -212,7 +190,7 @@ def _observed_block(config: SimulationConfig, rng: np.random.Generator,
     one a single-replicate draw gives.
     """
     p = config.params
-    n = config.sample_size
+    n = p.n
     block = np.empty((stop - start, 4 * n))
     for row, index in zip(block, range(start, stop)):
         _seek_substream(rng.bit_generator, config.seed, index)
@@ -307,11 +285,10 @@ def run_monte_carlo(config: SimulationConfig,
 
     Every estimator sees the same replicate means, so cross-estimator
     comparisons are paired. ``theory_mse`` on each result is the first-order
-    prediction at the effective sample size.
+    prediction for ``config.params``.
     """
     specs = list(specs)
-    theory_params = dataclasses.replace(config.params, n=config.sample_size)
-    theories = [theory_mse(spec, theory_params) for spec in specs]
+    theories = [theory_mse(spec, config.params) for spec in specs]
     ybars, xbars = _replicate_means(config)
     return [
         _aggregate_spec(spec, ybars, xbars, config.params.mu_y,
@@ -319,28 +296,3 @@ def run_monte_carlo(config: SimulationConfig,
         for spec, theory in zip(specs, theories)
     ]
 
-
-def convergence_sweep(config: SimulationConfig, spec: Estimator,
-                      n_grid: Sequence[int]) -> list[ConvergencePoint]:
-    """Empirical-vs-theory MSE gap across sample sizes.
-
-    The gap of a first-order-adequate estimator shrinks (up to Monte Carlo
-    noise) as n grows; the sweep reports it without asserting it.
-    """
-    grid = list(n_grid)
-    if not grid:
-        raise ConfigError("n_grid must be non-empty")
-    for value in grid:
-        _check_int(value, "n_grid entries", 2)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"n_grid must be strictly ascending, got {grid}")
-
-    points = []
-    for n in grid:
-        scenario = dataclasses.replace(config, sample_n=n)
-        result = run_monte_carlo(scenario, [spec])[0]
-        gap = abs(result.empirical_mse - result.theory_mse) / result.theory_mse
-        points.append(ConvergencePoint(
-            n=n, empirical_mse=result.empirical_mse,
-            theory_mse=result.theory_mse, relative_gap=gap))
-    return points

@@ -52,7 +52,6 @@ __all__ = [
     "mse_power_exp",
     "mse_power_exp_total",
     "mse_quadratic",
-    "optimal_weighted_power_exp",
     "min_mse_weighted_power_exp",
     "first_order_bias",
     "pre",
@@ -299,12 +298,6 @@ def mse_quadratic(m: MomentSet, bracket: Bracket) -> MseQuadratic:
     )
 
 
-def optimal_weighted_power_exp(m: MomentSet, mu_y: float,
-                               bracket: PowerExpBracket) -> OptimalWeights:
-    """Optimal weights of the weighted power-exp family for one bracket."""
-    return mse_quadratic(m, bracket).minimize(mu_y)
-
-
 def min_mse_weighted_power_exp(params: PopulationParams,
                                bracket: PowerExpBracket,
                                ) -> tuple[OptimalWeights, MseBreakdown]:
@@ -313,10 +306,9 @@ def min_mse_weighted_power_exp(params: PopulationParams,
     Like ``min_mse_weighted_diff``, the error-free leg re-optimizes at zero
     error variances.
     """
-    opt = optimal_weighted_power_exp(derive_moments(params), params.mu_y,
-                                     bracket)
-    opt_free = optimal_weighted_power_exp(derive_moments(error_free(params)),
-                                          params.mu_y, bracket)
+    opt = mse_quadratic(derive_moments(params), bracket).minimize(params.mu_y)
+    opt_free = mse_quadratic(derive_moments(error_free(params)),
+                             bracket).minimize(params.mu_y)
     return opt, _breakdown(opt_free.min_mse, opt.min_mse)
 
 

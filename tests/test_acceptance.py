@@ -54,7 +54,6 @@ from meanerr.theory import (
     min_mse_weighted_diff,
     min_mse_weighted_power_exp,
     optimal_weighted_diff,
-    optimal_weighted_power_exp,
     regression_slope,
     theory_mse,
     var_mean_per_unit,
@@ -127,7 +126,7 @@ def _benchmark_plan(params):
                            Estimator(bracket=PowerExpBracket(alpha, beta))))
     for alpha, beta in GRID:
         bracket = PowerExpBracket(alpha, beta)
-        opt = optimal_weighted_power_exp(m, mu_y, bracket)
+        opt = mse_quadratic(m, bracket).minimize(mu_y)
         plan.append(biased(f"weighted_power_exp_optimal({alpha},{beta:g})",
                            Estimator(opt.first, opt.second, bracket)))
     return plan
@@ -268,7 +267,7 @@ def test_criterion_5_monte_carlo_mse_verification(benchmark_sweep):
     config, plan, results = benchmark_sweep
     assert config.replicates >= 200_000
     assert config.error_law is ErrorLaw.GAUSSIAN
-    assert config.sample_size == 200
+    assert config.params.n == 200
 
     # (a) The engine reproduces the exact MSE on every row.
     violations = []

@@ -504,6 +504,17 @@ class TestSimulateCommand:
             ["simulate", "--preset", PRESET, "--replicates", "50"])
         assert code == 2
 
+    def test_unallocatable_run_is_data_error(self, capsys):
+        # 2**59 replicate means take 4 EiB, more than any 64-bit machine
+        # can map, so the first allocation fails at once
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--preset", PRESET, "--replicates", str(2**59)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_positive_theory_mse_leaves_gap_empty(self, capsys, fmt):
         # at n = 10 the optimal weighted power-exp (3, 0) row has a

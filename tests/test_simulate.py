@@ -2,13 +2,12 @@
 
 import dataclasses
 import math
-import runpy
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meanerr import simulate
+from meanerr.cli import simulation_table
 from meanerr.estimators import (
     Estimator,
     EvaluationError,
@@ -29,7 +28,6 @@ from meanerr.simulate import (
     _seek_substream,
     _standardized_errors,
     _substream,
-    convergence_sweep,
     draw_replicate,
     run_monte_carlo,
 )
@@ -56,12 +54,9 @@ def replay_truth(params, seed, index, n):
 
 class TestConfigValidation:
     def test_accepts_valid(self, table_params):
-        cfg = SimulationConfig(params=table_params, replicates=100,
-                               seed=2**64 - 1, sample_n=2)
-        assert cfg.sample_size == 2
-
-    def test_sample_size_defaults_to_params_n(self, config):
-        assert config.sample_size == config.params.n == 10
+        cfg = SimulationConfig(params=dataclasses.replace(table_params, n=2),
+                               replicates=100, seed=2**64 - 1)
+        assert cfg.params.n == 2
 
     @pytest.mark.parametrize("kwargs", [
         {"replicates": 99},
@@ -70,8 +65,6 @@ class TestConfigValidation:
         {"seed": -1},
         {"seed": 2**64},
         {"seed": 1.5},
-        {"sample_n": 1},
-        {"sample_n": 10.0},
         {"error_law": "gaussian"},
         {"error_law": ErrorLaw.STUDENT_T},                    # df missing
         {"error_law": ErrorLaw.STUDENT_T, "error_df": 4},     # var of e^2 infinite
@@ -114,7 +107,8 @@ class TestDrawReplicate:
 
     def test_sample_n_override(self, config):
         assert len(draw_replicate(config, 0)) == 10
-        wide = dataclasses.replace(config, sample_n=37)
+        wide = dataclasses.replace(
+            config, params=dataclasses.replace(config.params, n=37))
         assert len(draw_replicate(wide, 0)) == 37
 
     @pytest.mark.parametrize("index", [-1, 2**64, 3.0, True])
@@ -147,8 +141,9 @@ class TestDrawReplicate:
 
     def test_pooled_moments_match_population(self, table_params):
         # law-of-large-numbers oracle over 10^6 pooled observations
-        cfg = SimulationConfig(params=table_params, replicates=5000,
-                               seed=SEED, sample_n=200)
+        cfg = SimulationConfig(
+            params=dataclasses.replace(table_params, n=200),
+            replicates=5000, seed=SEED)
         ys, xs = [], []
         for i in range(cfg.replicates):
             sample = draw_replicate(cfg, i)
@@ -173,7 +168,7 @@ def replay_observed(config, index):
     fresh substream and the per-replicate arithmetic, one replicate at a
     time."""
     p = config.params
-    n = config.sample_size
+    n = p.n
     rng = np.random.Generator(
         np.random.Philox(key=config.seed, counter=index << 128))
     z = rng.standard_normal(2 * n)
@@ -231,8 +226,9 @@ class TestBlockKernel:
     def test_means_match_per_replicate_draws(self, table_params, n, seed,
                                              law):
         reps = max(KERNEL_REPLICATES)
-        base = SimulationConfig(params=table_params, replicates=reps,
-                                seed=seed, sample_n=n, **law)
+        base = SimulationConfig(
+            params=dataclasses.replace(table_params, n=n), replicates=reps,
+            seed=seed, **law)
         samples = [draw_replicate(base, i) for i in range(reps)]
         ref_y = np.array([sample.y.mean() for sample in samples])
         ref_x = np.array([sample.x.mean() for sample in samples])
@@ -336,11 +332,10 @@ class TestRunMonteCarlo:
         assert math.isfinite(hazard_row.empirical_mse)
 
     def test_theory_column_uses_effective_sample_size(self, config):
-        cfg = dataclasses.replace(config, sample_n=50)
-        spec = EXP_RATIO
-        (row,) = run_monte_carlo(cfg, [spec])
-        expected = theory_mse(spec, dataclasses.replace(cfg.params, n=50))
-        assert row.theory_mse == expected
+        params = dataclasses.replace(config.params, n=50)
+        cfg = dataclasses.replace(config, params=params)
+        (row,) = run_monte_carlo(cfg, [EXP_RATIO])
+        assert row.theory_mse == theory_mse(EXP_RATIO, params)
 
     def test_mean_per_unit_matches_exact_theory(self, table_params):
         # the variance formula is exact for ybar, so the empirical MSE is a
@@ -420,42 +415,31 @@ class TestAllReplicatesSkipped:
 
 
 class TestConvergenceSweep:
-    def test_rejects_bad_grids(self, config):
-        with pytest.raises(ConfigError):
-            convergence_sweep(config, EXP_RATIO, [])
-        with pytest.raises(ConfigError):
-            convergence_sweep(config, EXP_RATIO, [50, 10])
-        with pytest.raises(ConfigError):
-            convergence_sweep(config, EXP_RATIO, [10, 10])
-        with pytest.raises(ConfigError):
-            convergence_sweep(config, EXP_RATIO, [1, 10])
+    """The empirical-vs-theory gap across sample sizes, taken as
+    ``meanerr simulate --n N`` takes it: one run per n, each on the
+    scenario with ``params.n`` replaced."""
+
+    @staticmethod
+    def at_n(config, n):
+        return dataclasses.replace(
+            config, params=dataclasses.replace(config.params, n=n))
 
     def test_single_point_grid(self, config):
-        points = convergence_sweep(config, EXP_RATIO, [10])
-        assert len(points) == 1
-        point = points[0]
-        assert point.n == 10
-        assert point.relative_gap == abs(
-            point.empirical_mse - point.theory_mse) / point.theory_mse
+        table, _ = simulation_table(self.at_n(config, 10))
+        row = next(r for r in table.rows if r["estimator"] == "exp_ratio")
+        assert row["relative_gap"] == abs(
+            row["empirical_mse"] - row["theory_mse"]) / row["theory_mse"]
 
     def test_exact_theory_gap_stays_small(self, table_params):
         # for the mean per unit the theory is exact at every n, so the gap
         # is pure Monte Carlo noise (about sqrt(2/replicates) relative)
-        params = dataclasses.replace(table_params)
-        cfg = SimulationConfig(params=params, replicates=2000, seed=SEED)
-        for point in convergence_sweep(cfg, Estimator(), [5, 20, 80]):
-            assert point.relative_gap < 0.15
-
-    def test_script_runs(self, capsys):
-        # scripts/convergence_sweep.py drives this function and nothing
-        # else runs it, so an API change would break it silently
-        script = Path(__file__).resolve().parents[1] / "scripts" / \
-            "convergence_sweep.py"
-        main = runpy.run_path(str(script))["main"]
-        assert main(["--replicates", "200", "--n-grid", "10,20"]) == 0
-        assert "weights re-derived per n" in capsys.readouterr().out
+        cfg = SimulationConfig(params=table_params, replicates=2000, seed=SEED)
+        for n in (5, 20, 80):
+            (row,) = run_monte_carlo(self.at_n(cfg, n), [Estimator()])
+            gap = abs(row.empirical_mse - row.theory_mse) / row.theory_mse
+            assert gap < 0.15, n
 
     def test_theory_column_decreases_in_n(self, config):
-        points = convergence_sweep(config, EXP_RATIO, [10, 40, 160])
-        theories = [p.theory_mse for p in points]
-        assert theories == sorted(theories, reverse=True)
+        theories = [run_monte_carlo(self.at_n(config, n), [EXP_RATIO])[0]
+                    .theory_mse for n in (10, 40, 160)]
+        assert all(a > b for a, b in zip(theories, theories[1:])), theories

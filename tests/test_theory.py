@@ -29,7 +29,6 @@ from meanerr.theory import (
     mse_regression_diff,
     mse_weighted_diff,
     optimal_weighted_diff,
-    optimal_weighted_power_exp,
     pre,
     regression_slope,
     theory_mse,
@@ -501,7 +500,7 @@ class TestRescaledScenario:
         params = dataclasses.replace(table_params, n=200)
         m = derive_moments(params)
         bracket = PowerExpBracket(*pair)
-        opt = optimal_weighted_power_exp(m, params.mu_y, bracket)
+        opt = mse_quadratic(m, bracket).minimize(params.mu_y)
         assert opt.first == pytest.approx(first, rel=1e-9)
         assert opt.second == pytest.approx(second, rel=1e-9)
         assert opt.min_mse == pytest.approx(min_mse, rel=1e-12)
