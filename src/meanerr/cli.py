@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -416,8 +417,15 @@ def _join_grid_values(argv: Sequence[str]) -> list[str]:
     return joined
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """CLI parser: params/theory/simulate with shared source flags."""
+    """CLI parser: params/theory/simulate with shared source flags.
+
+    Built on the first call and shared by every later call in the process,
+    ``main`` included, so callers must not change it. Reuse holds no state
+    between parses: every default is rebuilt per parse (``--grid`` appends
+    to a fresh list), and usage errors go to the ``sys.stderr`` of the call.
+    """
     parser = _Parser(
         prog="meanerr",
         description="Finite-population mean estimation under additive "

@@ -150,8 +150,8 @@ def load_dataset(source: Union[str, os.PathLike, Iterable[str]],
 
 def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
                  name: str) -> MeasuredDataset:
-    reader = csv.DictReader(stream, delimiter=delimiter, restval=None)
-    header = reader.fieldnames
+    reader = csv.reader(stream, delimiter=delimiter)
+    header = next(reader, None)
     if header is None:
         raise DatasetError("input is empty; a header row is required")
     wanted = (columns.true_study, columns.true_aux,
@@ -160,11 +160,26 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
     if missing:
         raise DatasetError(
             f"missing column(s) {missing} in header {header}")
+    # a repeated header name reads its last column
+    position = {column: i for i, column in enumerate(header)}
+    a, b, c, d = (position[column] for column in wanted)
 
     rows = []
-    for row_number, record in enumerate(reader, start=1):
-        rows.append(tuple(_parse_cell(record[c], row_number, c)
-                          for c in wanted))
+    # blank lines are skipped and do not count as rows
+    for row_number, record in enumerate(filter(None, reader), start=1):
+        try:
+            cells = (float(record[a]), float(record[b]),
+                     float(record[c]), float(record[d]))
+        except (IndexError, ValueError):
+            cells = None
+        # a finite sum means four finite cells; anything else is re-read
+        # cell by cell, which names the bad cell or confirms the values
+        if cells is None or not math.isfinite(sum(cells)):
+            cells = tuple(
+                _parse_cell(record[i] if i < len(record) else None,
+                            row_number, column)
+                for i, column in zip((a, b, c, d), wanted))
+        rows.append(cells)
     if len(rows) < 2:
         raise DatasetError(f"dataset needs at least 2 rows, got {len(rows)}")
     return MeasuredDataset.from_rows(rows, name=name)

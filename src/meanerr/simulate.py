@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
+# Largest run whose two float64 arrays of replicate means numpy can index.
+_MAX_REPLICATES = np.iinfo(np.intp).max // 8
 # Replicates drawn per block. A block holds 4n doubles per replicate, and
 # its temporaries as much again: at n = 200, peak memory rose 0.5 MiB at 64
 # and 3.6 MiB at 256 over 32, with no speed-up beyond run-to-run noise.
@@ -101,6 +103,10 @@ class SimulationConfig:
             raise ConfigError(
                 f"params must be PopulationParams, got {type(self.params).__name__}")
         _check_int(self.replicates, "replicates", 100)
+        if self.replicates > _MAX_REPLICATES:
+            raise ConfigError(
+                f"replicates must be <= {_MAX_REPLICATES}, got "
+                f"{self.replicates}")
         _check_int(self.seed, "seed", 0)
         if self.seed >= _MAX_SEED:
             raise ConfigError(f"seed must be below 2**64, got {self.seed}")

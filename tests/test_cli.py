@@ -232,6 +232,35 @@ class TestUsageAndHelp:
         assert code == 2
 
 
+class TestSharedParser:
+    def test_parser_holds_no_state_between_calls(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        default = ["theory", "--preset", PRESET]
+        code, first, _ = run_cli(capsys, default)
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, ["theory", "--preset", PRESET, "--grid=1,1",
+                     "--grid", "-1,0.5"])
+        assert code == 0
+        assert [(r["alpha"], r["beta"]) for r in md_rows(out)[4:]] == [
+            ("1", "1"), ("-1", "0.5")] * 2
+        # fails inside parse_args, after --preset has been stored
+        code, out, err = run_cli(capsys, ["theory", "--preset", PRESET,
+                                          "--grid"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: meanerr theory")
+        code, _, _ = run_cli(capsys, ["simulate", "--preset", PRESET,
+                                      "--replicates", "100", "--seed", "5"])
+        assert code == 0
+        code, _, _ = run_cli(capsys, ["params", "--preset", PRESET,
+                                      "--n", "50"])
+        assert code == 0
+        code, last, _ = run_cli(capsys, default)
+        assert code == 0
+        assert last == first
+
+
 class TestTheoryCommand:
     def theory_json(self, capsys, *extra):
         code, out, err = run_cli(
@@ -514,6 +543,18 @@ class TestSimulateCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("replicates", [2**60, 2**64])
+    def test_unindexable_run_is_config_error(self, capsys, replicates):
+        # past 2**60 - 1 numpy cannot index the replicate means at all;
+        # the bound is checked before any array is made
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--preset", PRESET, "--replicates", str(replicates)])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: replicates must be <= {2**60 - 1}, "
+                       f"got {replicates}\n")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_positive_theory_mse_leaves_gap_empty(self, capsys, fmt):

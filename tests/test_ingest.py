@@ -1,7 +1,9 @@
 """Dataset ingestion: parsing errors, moment conventions, recovery oracle."""
 
+import csv
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from meanerr.ingest import (
     ColumnMap,
     DatasetError,
     MeasuredDataset,
+    _parse_cell,
     compute_params,
     load_dataset,
     params_from_dict,
@@ -145,6 +148,101 @@ class TestLoadDataset:
     def test_rejects_empty_column_name(self):
         with pytest.raises(DatasetError):
             ColumnMap(true_study="")
+
+
+def dict_reader_rows(stream, columns, delimiter):
+    """Rows as the ``csv.DictReader`` loop the loader once used reads them."""
+    reader = csv.DictReader(stream, delimiter=delimiter, restval=None)
+    header = reader.fieldnames
+    if header is None:
+        raise DatasetError("input is empty; a header row is required")
+    wanted = (columns.true_study, columns.true_aux,
+              columns.observed_study, columns.observed_aux)
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise DatasetError(
+            f"missing column(s) {missing} in header {header}")
+    rows = []
+    for row_number, record in enumerate(reader, start=1):
+        rows.append(tuple(_parse_cell(record[c], row_number, c)
+                          for c in wanted))
+    if len(rows) < 2:
+        raise DatasetError(f"dataset needs at least 2 rows, got {len(rows)}")
+    return rows
+
+
+_GOOD_CELLS = ("1", "-2.5", "127", "3e2", " 4 ", "0", "-0.0", "1_0", '"7"',
+               "1e308")
+_BAD_CELLS = ("", " ", "abc", "nan", "inf", "-inf", "1e999", '"1,5"')
+
+
+def random_table(rng):
+    """Delimited text with a header naming Y, X, y, x among extra names."""
+    delimiter = rng.choice(",\t")
+    names = ["Y", "X", "y", "x"]
+    if rng.random() < 0.05:
+        names.remove(rng.choice(names))
+    names += rng.choices(["Y", "X", "y", "x", "id", "w"], k=rng.randint(0, 3))
+    rng.shuffle(names)
+    lines = [delimiter.join(names)]
+    for _ in range(rng.randint(0, 7)):
+        if rng.random() < 0.15:
+            lines.append("")
+        width = len(names) + (rng.choice((-2, -1, 1, 2))
+                              if rng.random() < 0.08 else 0)
+        cells = [rng.choice(_BAD_CELLS) if rng.random() < 0.02
+                 else rng.choice(_GOOD_CELLS) for _ in range(width)]
+        lines.append(delimiter.join(cells))
+    end = rng.choice(("\n", "\r\n"))
+    return end.join(lines) + end, delimiter
+
+
+def load_outcome(read, text, delimiter):
+    try:
+        return "rows", [tuple(map(repr, row))
+                        for row in read(text, delimiter)]
+    except DatasetError as exc:
+        return "error", str(exc)
+
+
+class TestReaderMatchesDictReader:
+    """The one-pass reader against the old ``csv.DictReader`` loop."""
+
+    @staticmethod
+    def loader(text, delimiter):
+        return load_dataset(io.StringIO(text, newline=""),
+                            delimiter=delimiter).rows
+
+    @staticmethod
+    def reference(text, delimiter):
+        return dict_reader_rows(io.StringIO(text, newline=""), ColumnMap(),
+                                delimiter)
+
+    def test_random_tables(self):
+        rng = random.Random(20261018)
+        kinds = []
+        for _ in range(3000):
+            text, delimiter = random_table(rng)
+            got = load_outcome(self.loader, text, delimiter)
+            assert got == load_outcome(self.reference, text, delimiter), text
+            kinds.append(got[0])
+        # both outcomes are exercised, so neither path is compared vacuously
+        assert 0.2 < kinds.count("rows") / len(kinds) < 0.8
+
+    @pytest.mark.parametrize("text", [
+        "Y,X,y,x\n1e308,1e308,1e308,1e308\n1,2,3,4\n",
+        "Y,X,Y,y,x\n1,2,3,4,5\n6,7\n",
+        "\nY,X,y,x\n1,2,3,4\n5,6,7,8\n",
+        "Y,X,y,x\r\n\r\n1,2,3,4\r\n\r\n5,6,7,8,9\r\n",
+        "Y,X,y,x\n1,2,3,4\n5,6,nan,1e999\n",
+    ])
+    def test_edge_cases(self, text):
+        assert (load_outcome(self.loader, text, ",")
+                == load_outcome(self.reference, text, ","))
+
+    def test_overflowing_row_sum_still_loads(self):
+        text = "Y,X,y,x\n1e308,1e308,1e308,1e308\n1,2,3,4\n"
+        assert self.loader(text, ",") == [(1e308,) * 4, (1.0, 2.0, 3.0, 4.0)]
 
 
 class TestComputeParams:

@@ -71,6 +71,8 @@ class TestConfigValidation:
         {"error_law": ErrorLaw.STUDENT_T, "error_df": math.inf},
         {"error_law": ErrorLaw.STUDENT_T, "error_df": True},
         {"error_df": 6.0},                                    # df without the law
+        {"replicates": 2**60},                    # means numpy cannot index
+        {"replicates": 2**64},
     ])
     def test_rejections(self, table_params, kwargs):
         base = dict(params=table_params, replicates=100, seed=SEED)
