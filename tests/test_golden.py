@@ -22,6 +22,10 @@ _PRESET = ["--preset", "gujarati-table1"]
 _DATA = ["--data", str(GOLDEN / "units.csv"), "--n", "200",
          "--grid=1,1", "--grid=-1,0.5"]
 _MONTE_CARLO = ["--replicates", "200", "--seed", "7"]
+# The ends of the n range the benchmark draws from, on a grid with a
+# negative alpha, alpha = 2 and the B = 0 bracket.
+_UNITS = ["--data", str(GOLDEN / "units.csv")]
+_EDGE_GRID = ["--grid=-3,2", "--grid=2,-1.5", "--grid=0,0", "--grid=1,-1"]
 
 CASES = {
     "params-preset": ["params", *_PRESET],
@@ -32,7 +36,8 @@ CASES = {
 }
 # Cases kept in csv only, whose full precision carries every number the
 # other formats print: the non-Gaussian error laws, and a grid with a
-# negative alpha, a non-positive row and the B = 0 bracket.
+# negative alpha, a non-positive row and the B = 0 bracket; and theory at
+# n = 2 and n = 2000 from the preset and from the dataset.
 CSV_CASES = {
     "simulate-preset-uniform": ["simulate", *_PRESET, *_MONTE_CARLO,
                                 "--error-law", "uniform"],
@@ -41,6 +46,10 @@ CSV_CASES = {
                                   "--error-df", "5"],
     "theory-preset-grid": ["theory", *_PRESET, "--grid=-3,2",
                            "--grid=2,-1.5", "--grid=0,0"],
+    **{f"theory-{label}-n{n}": ["theory", *source, "--n", str(n),
+                                *_EDGE_GRID]
+       for label, source in (("preset", _PRESET), ("data", _UNITS))
+       for n in (2, 2000)},
 }
 RUNS = ([(case, fmt) for case in sorted(CASES) for fmt in FORMATS]
         + [(case, "csv") for case in sorted(CSV_CASES)])
