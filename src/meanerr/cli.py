@@ -18,7 +18,8 @@ Three subcommands share one source-resolution and rendering pipeline:
     relative gap per row.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error
-(including a run too large to allocate), 3 tolerance failure
+(including a run too large to allocate and a scenario whose theory
+overflows a float), 3 tolerance failure
 (``simulate --tolerance`` exceeded).  Output is a pure function of the flag
 set.
 """
@@ -194,29 +195,36 @@ def _row_plan(params: PopulationParams,
     weighted difference, then the power-exp rows for every grid pair
     followed by the optimal weighted power-exp rows for every grid pair.
     A singular optimum yields spec and breakdown None with the reason in
-    the note; the other rows are unaffected.
+    the note; the other rows are unaffected. The moments with and without
+    the errors are derived once for all rows.
     """
-    slope = theory.regression_slope(derive_moments(params))
+    m = derive_moments(params)
+    m_free = derive_moments(params, error_free=True)
+    mu_y = params.mu_y
+    slope = theory.regression_slope(m)
     plan = [
         _PlanRow("mean_per_unit", {}, Estimator(),
-                 theory.var_mean_per_unit(params)),
+                 theory.var_mean_per_unit(m, m_free)),
         _PlanRow("exp_ratio", {}, Estimator(bracket=ExpBracket()),
-                 theory.mse_exp_ratio(params)),
+                 theory.mse_exp_ratio(params, m)),
         _PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
-                 Estimator(1.0, slope), theory.mse_regression_diff(params)),
+                 Estimator(1.0, slope),
+                 theory.mse_regression_diff(m, m_free, mu_y)),
         _optimal_row("weighted_diff_optimal", {},
-                     lambda: theory.min_mse_weighted_diff(params), Estimator),
+                     lambda: theory.min_mse_weighted_diff(m, m_free, mu_y),
+                     Estimator),
     ]
     brackets = [PowerExpBracket(float(alpha), float(beta))
                 for alpha, beta in grid]
     for (alpha, beta), bracket in zip(grid, brackets):
         plan.append(_PlanRow("power_exp", {"alpha": alpha, "beta": beta},
                              Estimator(bracket=bracket),
-                             theory.mse_power_exp(params, bracket)))
+                             theory.mse_power_exp(m, m_free, bracket)))
     for (alpha, beta), bracket in zip(grid, brackets):
         plan.append(_optimal_row(
             "weighted_power_exp_optimal", {"alpha": alpha, "beta": beta},
-            lambda: theory.min_mse_weighted_power_exp(params, bracket),
+            lambda: theory.min_mse_weighted_power_exp(m, m_free, mu_y,
+                                                      bracket),
             lambda first, second: Estimator(first, second, bracket)))
     return plan
 
@@ -562,6 +570,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParameterError, DatasetError, ConfigError,
             AllReplicatesSkippedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OverflowError as exc:
+        # finite parameters whose theory leaves the float range, such as
+        # mu_y**2 for |mu_y| above about 1.3e154
+        detail = exc.args[-1] if exc.args else "out of range"
+        print(f"error: numerical overflow: {detail}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -17,7 +17,9 @@ pinned by the test fixtures.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Union
@@ -34,7 +36,6 @@ __all__ = [
     "compute_params",
     "preset",
     "preset_names",
-    "params_from_dict",
 ]
 
 
@@ -162,27 +163,29 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
             f"missing column(s) {missing} in header {header}")
     # a repeated header name reads its last column
     position = {column: i for i, column in enumerate(header)}
-    a, b, c, d = (position[column] for column in wanted)
+    indices = [position[column] for column in wanted]
 
-    rows = []
     # blank lines are skipped and do not count as rows
-    for row_number, record in enumerate(filter(None, reader), start=1):
-        try:
-            cells = (float(record[a]), float(record[b]),
-                     float(record[c]), float(record[d]))
-        except (IndexError, ValueError):
-            cells = None
-        # a finite sum means four finite cells; anything else is re-read
-        # cell by cell, which names the bad cell or confirms the values
-        if cells is None or not math.isfinite(sum(cells)):
-            cells = tuple(
-                _parse_cell(record[i] if i < len(record) else None,
-                            row_number, column)
-                for i, column in zip((a, b, c, d), wanted))
-        rows.append(cells)
-    if len(rows) < 2:
-        raise DatasetError(f"dataset needs at least 2 rows, got {len(rows)}")
-    return MeasuredDataset.from_rows(rows, name=name)
+    records = list(filter(None, reader))
+    try:
+        cells = itertools.chain.from_iterable(
+            map(operator.itemgetter(*indices), records))
+        values = np.fromiter(map(float, cells), dtype=np.float64,
+                             count=4 * len(records)).reshape(-1, 4)
+        valid = bool(np.isfinite(values).all())
+    except (IndexError, ValueError):
+        valid = False
+    if not valid:
+        # re-read row by row, which names the first bad row and cell
+        values = np.array(
+            [[_parse_cell(record[i] if i < len(record) else None,
+                          row_number, column)
+              for i, column in zip(indices, wanted)]
+             for row_number, record in enumerate(records, start=1)],
+            dtype=np.float64).reshape(-1, 4)
+    if len(values) < 2:
+        raise DatasetError(f"dataset needs at least 2 rows, got {len(values)}")
+    return MeasuredDataset(*values.T, name=name)
 
 
 def _var_n(values: np.ndarray) -> float:
@@ -199,22 +202,28 @@ def compute_params(ds: MeasuredDataset, n_for_theory: int) -> PopulationParams:
     size the theory should be evaluated at; it is independent of the number
     of dataset rows.
     """
-    var_y = _var_n(ds.true_study)
-    var_x = _var_n(ds.true_aux)
+    # a moment beyond the float range comes out infinite, which
+    # PopulationParams rejects; numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_y = float(ds.true_study.mean())
+        mu_x = float(ds.true_aux.mean())
+        var_y = _var_n(ds.true_study)
+        var_x = _var_n(ds.true_aux)
+        cov = float(np.mean((ds.true_study - mu_y) * (ds.true_aux - mu_x)))
+        var_u = _var_n(ds.observed_study - ds.true_study)
+        var_v = _var_n(ds.observed_aux - ds.true_aux)
     if var_y == 0.0 or var_x == 0.0:
         raise DatasetError(
             "a true column is constant; correlation is undefined")
-    cov = float(np.mean((ds.true_study - ds.true_study.mean())
-                        * (ds.true_aux - ds.true_aux.mean())))
     return PopulationParams(
         n=n_for_theory,
-        mu_y=float(ds.true_study.mean()),
-        mu_x=float(ds.true_aux.mean()),
+        mu_y=mu_y,
+        mu_x=mu_x,
         sigma_y2=var_y,
         sigma_x2=var_x,
         rho=cov / math.sqrt(var_y * var_x),
-        sigma_u2=_var_n(ds.observed_study - ds.true_study),
-        sigma_v2=_var_n(ds.observed_aux - ds.true_aux),
+        sigma_u2=var_u,
+        sigma_v2=var_v,
     )
 
 
@@ -242,22 +251,3 @@ def preset(name: str = DEFAULT_PRESET) -> PopulationParams:
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         ) from None
 
-
-def params_from_dict(mapping) -> PopulationParams:
-    """Build PopulationParams from a plain mapping (e.g. parsed JSON).
-
-    Keys must match the field names exactly; missing or extra keys are
-    errors, so a typo cannot silently fall back to a default.
-    """
-    expected = {f.name for f in fields(PopulationParams)}
-    got = set(mapping)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        detail = []
-        if missing:
-            detail.append(f"missing {missing}")
-        if extra:
-            detail.append(f"unexpected {extra}")
-        raise DatasetError("parameter document: " + ", ".join(detail))
-    return PopulationParams(**{k: mapping[k] for k in expected})

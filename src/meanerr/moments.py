@@ -17,7 +17,6 @@ __all__ = [
     "PopulationParams",
     "MomentSet",
     "derive_moments",
-    "error_free",
 ]
 
 
@@ -81,28 +80,26 @@ class MomentSet:
     cv_x: float        # sigma_x / mu_x
 
 
-def derive_moments(params: PopulationParams) -> MomentSet:
+def derive_moments(params: PopulationParams, *,
+                   error_free: bool = False) -> MomentSet:
     """Compute the first-order moment set for ``params``.
 
-    The covariance of the observed means never involves the error variances
-    (errors are mutually independent and independent of the true values), so
-    it is invariant under changes to sigma_u2 and sigma_v2.
+    With ``error_free`` both error variances count as zero, which gives the
+    moments of the error-free sampling setup. The covariance of the observed
+    means never involves the error variances (errors are mutually
+    independent and independent of the true values), so it is the same
+    either way.
     """
     n = params.n
+    sigma_u2, sigma_v2 = ((0.0, 0.0) if error_free
+                          else (params.sigma_u2, params.sigma_v2))
     sigma_y = math.sqrt(params.sigma_y2)
     sigma_x = math.sqrt(params.sigma_x2)
     return MomentSet(
-        var_ybar=(params.sigma_y2 + params.sigma_u2) / n,
-        var_xbar=(params.sigma_x2 + params.sigma_v2) / n,
+        var_ybar=(params.sigma_y2 + sigma_u2) / n,
+        var_xbar=(params.sigma_x2 + sigma_v2) / n,
         cov_yxbar=params.rho * sigma_y * sigma_x / n,
         ratio=params.mu_y / params.mu_x,
         cv_y=sigma_y / params.mu_y,
         cv_x=sigma_x / params.mu_x,
     )
-
-
-def error_free(params: PopulationParams) -> PopulationParams:
-    """Return a copy of ``params`` with both error variances set to zero."""
-    import dataclasses
-
-    return dataclasses.replace(params, sigma_u2=0.0, sigma_v2=0.0)

@@ -9,10 +9,12 @@ xbar = mu_x.
 Conventions
 -----------
 * Every MSE splits as ``without_me + me_contribution = total`` where
-  ``without_me`` is the same formula evaluated at zero error variances. Rows
-  built around optimal coefficients re-optimize at zero error variances for
-  the without leg, so both legs describe the best attainable value in their
-  own world.
+  ``without_me`` is the same formula evaluated at zero error variances. The
+  breakdowns take the moment pair ``m = derive_moments(params)`` and
+  ``m_free = derive_moments(params, error_free=True)``, derived once by the
+  caller. Rows built around optimal coefficients re-optimize at zero error
+  variances for the without leg, so both legs describe the best attainable
+  value in their own world.
 * A correction bracket expands as 1 - B d - A d^2 with
   d = (xbar - mu_x)/mu_x; the bracket carries B as ``linear`` and A as
   ``quadratic``. The power-exp bracket
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .estimators import Bracket, Estimator, ExpBracket, PowerExpBracket
-from .moments import MomentSet, PopulationParams, derive_moments, error_free
+from .moments import MomentSet, PopulationParams, derive_moments
 
 __all__ = [
     "SingularSystemError",
@@ -97,28 +99,26 @@ class OptimalWeights:
 
 # --------------------------------------------------------------- mean per unit
 
-def var_mean_per_unit(params: PopulationParams) -> MseBreakdown:
+def var_mean_per_unit(m: MomentSet, m_free: MomentSet) -> MseBreakdown:
     """Variance of the observed study mean, split by error contribution.
 
     total = (sigma_y2 + sigma_u2)/n, the error-free leg drops sigma_u2. This
     is exact, and it is the reference MSE for every efficiency comparison.
     """
-    return _breakdown(without_me=params.sigma_y2 / params.n,
-                      total=(params.sigma_y2 + params.sigma_u2) / params.n)
+    return _breakdown(without_me=m_free.var_ybar, total=m.var_ybar)
 
 
 # ------------------------------------------------------------------- exp ratio
 
-def mse_exp_ratio(params: PopulationParams) -> MseBreakdown:
+def mse_exp_ratio(params: PopulationParams, m: MomentSet) -> MseBreakdown:
     """First-order MSE of the exponential ratio estimator, decomposed.
 
     The error-free leg uses the coefficient-of-variation form
     (sigma_y2/n) [1 - (cv_x/cv_y)(rho - cv_x/(4 cv_y))]; the error
     contribution is ((mu_y^2/(4 mu_x^2)) sigma_v2 + sigma_u2)/n. Their sum
     equals the moment form var_ybar + ratio^2 var_xbar / 4 - ratio cov_yxbar
-    identically.
+    identically. ``m`` is ``derive_moments(params)``.
     """
-    m = derive_moments(params)
     without = (params.sigma_y2 / params.n) * (
         1.0 - (m.cv_x / m.cv_y) * (params.rho - m.cv_x / (4.0 * m.cv_y)))
     me = ((params.mu_y**2 / (4.0 * params.mu_x**2)) * params.sigma_v2
@@ -178,20 +178,20 @@ def optimal_weighted_diff(m: MomentSet, mu_y: float) -> OptimalWeights:
         min_mse=b4 * (m.var_ybar * b3 - b2 * b2) / den)
 
 
-def min_mse_weighted_diff(params: PopulationParams,
+def min_mse_weighted_diff(m: MomentSet, m_free: MomentSet, mu_y: float,
                           ) -> tuple[OptimalWeights, MseBreakdown]:
     """Optimal weighted difference with its decomposed minimum MSE.
 
     The error-free leg re-optimizes at sigma_u2 = sigma_v2 = 0; it is the
     best error-free value, not the with-error optimum evaluated there.
     """
-    opt = optimal_weighted_diff(derive_moments(params), params.mu_y)
-    opt_free = optimal_weighted_diff(derive_moments(error_free(params)),
-                                     params.mu_y)
+    opt = optimal_weighted_diff(m, mu_y)
+    opt_free = optimal_weighted_diff(m_free, mu_y)
     return opt, _breakdown(opt_free.min_mse, opt.min_mse)
 
 
-def mse_regression_diff(params: PopulationParams) -> MseBreakdown:
+def mse_regression_diff(m: MomentSet, m_free: MomentSet, mu_y: float,
+                        ) -> MseBreakdown:
     """Decomposed MSE of the weighted difference at mean_weight = 1 and the
     regression slope.
 
@@ -200,11 +200,8 @@ def mse_regression_diff(params: PopulationParams) -> MseBreakdown:
     that leg), mirroring the re-optimization convention of the jointly
     optimal rows.
     """
-    m = derive_moments(params)
-    m_free = derive_moments(error_free(params))
-    total = mse_weighted_diff(m, params.mu_y, 1.0, regression_slope(m))
-    without = mse_weighted_diff(m_free, params.mu_y, 1.0,
-                                regression_slope(m_free))
+    total = mse_weighted_diff(m, mu_y, 1.0, regression_slope(m))
+    without = mse_weighted_diff(m_free, mu_y, 1.0, regression_slope(m_free))
     return _breakdown(without, total)
 
 
@@ -218,12 +215,11 @@ def mse_power_exp_total(m: MomentSet, bracket: PowerExpBracket) -> float:
             - 2.0 * m.ratio * B * m.cov_yxbar)
 
 
-def mse_power_exp(params: PopulationParams, bracket: PowerExpBracket,
+def mse_power_exp(m: MomentSet, m_free: MomentSet, bracket: PowerExpBracket,
                   ) -> MseBreakdown:
     """Decomposed first-order MSE of the power-exp corrected mean."""
-    total = mse_power_exp_total(derive_moments(params), bracket)
-    without = mse_power_exp_total(derive_moments(error_free(params)), bracket)
-    return _breakdown(without, total)
+    return _breakdown(mse_power_exp_total(m_free, bracket),
+                      mse_power_exp_total(m, bracket))
 
 
 # -------------------------------------------------- weighted power-exp family
@@ -298,7 +294,7 @@ def mse_quadratic(m: MomentSet, bracket: Bracket) -> MseQuadratic:
     )
 
 
-def min_mse_weighted_power_exp(params: PopulationParams,
+def min_mse_weighted_power_exp(m: MomentSet, m_free: MomentSet, mu_y: float,
                                bracket: PowerExpBracket,
                                ) -> tuple[OptimalWeights, MseBreakdown]:
     """Optimal weighted power-exp estimator with its decomposed minimum.
@@ -306,9 +302,8 @@ def min_mse_weighted_power_exp(params: PopulationParams,
     Like ``min_mse_weighted_diff``, the error-free leg re-optimizes at zero
     error variances.
     """
-    opt = mse_quadratic(derive_moments(params), bracket).minimize(params.mu_y)
-    opt_free = mse_quadratic(derive_moments(error_free(params)),
-                             bracket).minimize(params.mu_y)
+    opt = mse_quadratic(m, bracket).minimize(mu_y)
+    opt_free = mse_quadratic(m_free, bracket).minimize(mu_y)
     return opt, _breakdown(opt_free.min_mse, opt.min_mse)
 
 
@@ -358,13 +353,15 @@ def theory_mse(spec: Estimator, params: PopulationParams) -> float:
     one.
     """
     bracket = spec.bracket
-    if (spec.mean_weight, spec.aux_weight) == (1.0, 0.0):
-        if bracket is None:
-            return var_mean_per_unit(params).total
-        if bracket == ExpBracket():
-            return mse_exp_ratio(params).total
-        return mse_power_exp(params, bracket).total
     m = derive_moments(params)
+    if (spec.mean_weight, spec.aux_weight) == (1.0, 0.0):
+        if bracket == ExpBracket():
+            return mse_exp_ratio(params, m).total
+        # the breakdown re-sums its legs, so the total needs both
+        m_free = derive_moments(params, error_free=True)
+        if bracket is None:
+            return var_mean_per_unit(m, m_free).total
+        return mse_power_exp(m, m_free, bracket).total
     if bracket is None:
         return mse_weighted_diff(m, params.mu_y, spec.mean_weight,
                                  spec.aux_weight)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import strategies as st
 
-from meanerr.moments import PopulationParams
+from meanerr.ingest import DatasetError
+from meanerr.moments import MomentSet, PopulationParams, derive_moments
 
 
 @pytest.fixture
@@ -19,6 +22,32 @@ def table_params() -> PopulationParams:
         n=10, mu_y=127.0, mu_x=170.0, sigma_y2=1278.0, sigma_x2=3300.0,
         rho=0.964, sigma_u2=36.0, sigma_v2=36.0,
     )
+
+
+def moment_pair(params: PopulationParams) -> tuple[MomentSet, MomentSet]:
+    """The moments of ``params`` with and without the error variances, the
+    pair the theory breakdowns take."""
+    return derive_moments(params), derive_moments(params, error_free=True)
+
+
+def params_from_dict(mapping) -> PopulationParams:
+    """Build PopulationParams from a plain mapping (e.g. parsed JSON).
+
+    Keys must match the field names exactly; missing or extra keys are
+    errors, so a typo cannot silently fall back to a default.
+    """
+    expected = {f.name for f in dataclasses.fields(PopulationParams)}
+    got = set(mapping)
+    if got != expected:
+        missing = sorted(expected - got)
+        extra = sorted(got - expected)
+        detail = []
+        if missing:
+            detail.append(f"missing {missing}")
+        if extra:
+            detail.append(f"unexpected {extra}")
+        raise DatasetError("parameter document: " + ", ".join(detail))
+    return PopulationParams(**{k: mapping[k] for k in expected})
 
 
 def _finite(lo: float, hi: float) -> st.SearchStrategy[float]:

@@ -349,12 +349,13 @@ def test_criterion_7_invariant_suite():
         mu_x, mu_y = params.mu_x, params.mu_y
 
         # Decomposition identity, exact, for every row builder.
-        breakdowns = [var_mean_per_unit(params), mse_exp_ratio(params),
-                      mse_regression_diff(params),
-                      min_mse_weighted_diff(params)[1]]
+        m_free = derive_moments(params, error_free=True)
+        breakdowns = [var_mean_per_unit(m, m_free), mse_exp_ratio(params, m),
+                      mse_regression_diff(m, m_free, mu_y),
+                      min_mse_weighted_diff(m, m_free, mu_y)[1]]
         for alpha, beta in GRID:
             breakdowns.append(min_mse_weighted_power_exp(
-                params, PowerExpBracket(alpha, beta))[1])
+                m, m_free, mu_y, PowerExpBracket(alpha, beta))[1])
         for breakdown in breakdowns:
             assert breakdown.without_me + breakdown.me_contribution \
                 == breakdown.total
@@ -384,8 +385,9 @@ def test_criterion_7_invariant_suite():
 
     # Monotonicity of the exp-ratio MSE in each error variance.
     for field in ("sigma_u2", "sigma_v2"):
-        totals = [mse_exp_ratio(replace(base, **{field: value})).total
+        varied = [replace(base, **{field: value})
                   for value in (0.0, 9.0, 36.0, 100.0, 400.0)]
+        totals = [mse_exp_ratio(p, derive_moments(p)).total for p in varied]
         assert all(a < b for a, b in zip(totals, totals[1:])), field
 
     # Error-law invariance: identical first-order theory, and empirical MSE

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,9 +15,11 @@ import pytest
 from meanerr import cli, theory
 from meanerr.cli import DEFAULT_GRID, main
 from meanerr.estimators import PowerExpBracket
-from meanerr.ingest import params_from_dict, preset
+from meanerr.ingest import preset
 from meanerr.moments import derive_moments
 from meanerr.theory import SingularSystemError, var_mean_per_unit
+
+from conftest import moment_pair, params_from_dict
 
 PRESET = "gujarati-table1"
 
@@ -202,6 +205,42 @@ class TestParamsCommand:
         assert out_path.read_text(encoding="utf-8") == stdout_text
 
 
+class TestOverflowingData:
+    """Finite data whose moments or theory leave the float range."""
+
+    # Means near 1e160 with spreads near 1e150: every parameter is finite,
+    # but mu_y**2 is not.
+    LARGE_MEANS = "Y,X,y,x\n" + "".join(
+        f"{1e160 + a * 1e150!r},{1e160 + b * 1e150!r},"
+        f"{1e160 + (a + 0.1) * 1e150!r},{1e160 + (b - 0.1) * 1e150!r}\n"
+        for a, b in ((1, 2), (-1, 0), (2, 3), (-2, -1)))
+    # A true column of +-1e160: its variance overflows.
+    LARGE_SPREAD = "Y,X,y,x\n1e160,1,1e160,2\n-1e160,3,-1e160,5\n"
+
+    @pytest.mark.parametrize("command", [
+        ["theory"], ["simulate", "--replicates", "100"]])
+    def test_theory_overflow_is_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "large.csv"
+        path.write_text(self.LARGE_MEANS, encoding="utf-8")
+        code, _, _ = run_cli(capsys, ["params", "--data", str(path)])
+        assert code == 0
+        code, out, err = run_cli(capsys, [*command, "--data", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: numerical overflow: Numerical result out of " \
+            "range\n"
+
+    def test_overflowing_variance_warns_nothing(self, capsys, tmp_path):
+        path = tmp_path / "spread.csv"
+        path.write_text(self.LARGE_SPREAD, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["theory", "--data", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: all parameters must be finite\n"
+
+
 class TestUsageAndHelp:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, [])
@@ -315,20 +354,22 @@ class TestTheoryCommand:
 
     def test_totals_match_library(self, capsys):
         params = preset(PRESET)
+        m, m_free = moment_pair(params)
         rows = self.theory_json(capsys)
-        assert rows[0]["total"] == var_mean_per_unit(params).total
-        assert rows[1]["total"] == theory.mse_exp_ratio(params).total
-        assert rows[2]["total"] == theory.mse_regression_diff(params).total
-        opt, breakdown = theory.min_mse_weighted_diff(params)
+        assert rows[0]["total"] == var_mean_per_unit(m, m_free).total
+        assert rows[1]["total"] == theory.mse_exp_ratio(params, m).total
+        assert rows[2]["total"] == theory.mse_regression_diff(
+            m, m_free, params.mu_y).total
+        opt, breakdown = theory.min_mse_weighted_diff(m, m_free, params.mu_y)
         assert rows[3]["total"] == breakdown.total
         assert rows[3]["mean_weight"] == opt.first
         assert rows[3]["aux_weight"] == opt.second
         for row, (alpha, beta) in zip(rows[4:8], DEFAULT_GRID):
             assert row["total"] == theory.mse_power_exp(
-                params, PowerExpBracket(alpha, beta)).total
+                m, m_free, PowerExpBracket(alpha, beta)).total
         for row, (alpha, beta) in zip(rows[8:12], DEFAULT_GRID):
             opt, breakdown = theory.min_mse_weighted_power_exp(
-                params, PowerExpBracket(alpha, beta))
+                m, m_free, params.mu_y, PowerExpBracket(alpha, beta))
             assert row["total"] == breakdown.total
             assert row["mean_weight"] == opt.first
             assert row["aux_weight"] == opt.second
@@ -399,7 +440,7 @@ class TestTheoryCommand:
         assert len(json_rows(out)) == 12
 
     def test_singular_optimum_is_per_row(self, capsys, monkeypatch):
-        def explode(params, bracket):
+        def explode(*args):
             raise SingularSystemError("synthetic singularity")
 
         monkeypatch.setattr(
@@ -484,15 +525,16 @@ class TestSimulateCommand:
     def test_theory_column_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, [*SMALL_RUN, "--format", "json"])
         assert json_rows(out)[0]["theory_mse"] == \
-            var_mean_per_unit(preset(PRESET)).total
+            var_mean_per_unit(*moment_pair(preset(PRESET))).total
 
     def test_n_override_rescales_theory_and_weights(self, capsys):
         _, out, _ = run_cli(
             capsys, [*SMALL_RUN, "--n", "50", "--format", "json"])
         rows = json_rows(out)
         rescaled = replace(preset(PRESET), n=50)
-        assert rows[0]["theory_mse"] == var_mean_per_unit(rescaled).total
-        opt, _ = theory.min_mse_weighted_diff(rescaled)
+        m, m_free = moment_pair(rescaled)
+        assert rows[0]["theory_mse"] == var_mean_per_unit(m, m_free).total
+        opt, _ = theory.min_mse_weighted_diff(m, m_free, rescaled.mu_y)
         assert rows[3]["mean_weight"] == opt.first
         assert rows[3]["aux_weight"] == opt.second
 

@@ -15,11 +15,12 @@ from meanerr.ingest import (
     _parse_cell,
     compute_params,
     load_dataset,
-    params_from_dict,
     preset,
     preset_names,
 )
 from meanerr.moments import ParameterError, PopulationParams, derive_moments
+
+from conftest import params_from_dict
 
 # Hand-computable fixture. True study column: mean 127, divisor-4 variance 4.
 # True aux: mean 171, variance 3, covariance with study 2, so rho = 1/sqrt(3).
@@ -235,6 +236,12 @@ class TestReaderMatchesDictReader:
         "\nY,X,y,x\n1,2,3,4\n5,6,7,8\n",
         "Y,X,y,x\r\n\r\n1,2,3,4\r\n\r\n5,6,7,8,9\r\n",
         "Y,X,y,x\n1,2,3,4\n5,6,nan,1e999\n",
+        # the first bad row is named, whatever kind of fault a later row has
+        "Y,X,y,x\n1,2,3,4\n5,6\n7,abc,8,9\n",
+        "Y,X,y,x\n1,nan,3,4\n5,6,abc,8\n",
+        # within a row, the first bad cell is named
+        "Y,X,y,x\n1,2,3,4\n5,inf,abc,8\n",
+        "Y,X,y,x\n1,2,3,4\n \n5,6,7,8\n",
     ])
     def test_edge_cases(self, text):
         assert (load_outcome(self.loader, text, ",")

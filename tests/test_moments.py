@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meanerr.moments import ParameterError, PopulationParams, derive_moments, error_free
+from meanerr.moments import ParameterError, PopulationParams, derive_moments
 
 from conftest import population_params
 
@@ -39,7 +39,7 @@ class TestBenchmarkValues:
 
     def test_error_free_reduction(self, table_params):
         """Zero error variances: 127.8 and 330.0, covariance unchanged."""
-        m0 = derive_moments(error_free(table_params))
+        m0 = derive_moments(table_params, error_free=True)
         m = derive_moments(table_params)
         assert m0.var_ybar == pytest.approx(127.8, rel=1e-12)
         assert m0.var_xbar == pytest.approx(330.0, rel=1e-12)
@@ -110,3 +110,13 @@ class TestInvariants:
     @given(population_params())
     def test_determinism(self, params):
         assert derive_moments(params) == derive_moments(params)
+
+    @given(population_params())
+    def test_error_free_is_zeroed_error_variances(self, params):
+        """The error-free moments equal, bit for bit, the moments of the
+        same parameters with both error variances set to zero."""
+        zeroed = dataclasses.replace(params, sigma_u2=0.0, sigma_v2=0.0)
+        assert derive_moments(params, error_free=True) == \
+            derive_moments(zeroed)
+        assert derive_moments(params, error_free=True).var_ybar == \
+            params.sigma_y2 / params.n

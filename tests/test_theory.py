@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from meanerr.cli import _row_plan
 from meanerr.estimators import Estimator, ExpBracket, PowerExpBracket
-from meanerr.moments import MomentSet, derive_moments, error_free
+from meanerr.moments import MomentSet, derive_moments
 from meanerr.theory import (
     MseQuadratic,
     SingularSystemError,
@@ -35,7 +35,7 @@ from meanerr.theory import (
     var_mean_per_unit,
 )
 
-from conftest import population_params
+from conftest import moment_pair, population_params
 
 PAIRS = [(1, 0), (0, 1), (1, 1), (1, -1)]
 EXP_RATIO = Estimator(bracket=ExpBracket())
@@ -54,14 +54,14 @@ def exp_ratio_moment_form(m):
 
 class TestMeanPerUnit:
     def test_benchmark_values(self, table_params):
-        v = var_mean_per_unit(table_params)
+        v = var_mean_per_unit(*moment_pair(table_params))
         assert v.total == pytest.approx(131.4, rel=1e-12)
         assert v.without_me == pytest.approx(127.8, rel=1e-12)
         assert v.me_contribution == pytest.approx(3.6, rel=1e-12)
 
     @given(population_params())
     def test_decomposition_exact(self, params):
-        v = var_mean_per_unit(params)
+        v = var_mean_per_unit(*moment_pair(params))
         assert v.total == v.without_me + v.me_contribution
         assert v.me_contribution >= 0.0
 
@@ -74,7 +74,7 @@ class TestExpRatio:
         assert b == pytest.approx(-0.032517364951486, rel=1e-12)
 
     def test_benchmark_mse(self, table_params):
-        mse = mse_exp_ratio(table_params)
+        mse = mse_exp_ratio(table_params, derive_moments(table_params))
         assert mse.without_me == pytest.approx(25.947741551457518, rel=1e-12)
         assert mse.me_contribution == pytest.approx(4.102287197231834, rel=1e-12)
         assert mse.total == pytest.approx(30.050028748689352, rel=1e-12)
@@ -85,7 +85,7 @@ class TestExpRatio:
         # slack is the term-magnitude envelope, since both routes cancel
         # near-identical large terms when the total is close to zero
         m = derive_moments(params)
-        decomposed = mse_exp_ratio(params)
+        decomposed = mse_exp_ratio(params, derive_moments(params))
         moment_form = exp_ratio_moment_form(m)
         envelope = (m.var_ybar + 0.25 * m.ratio**2 * m.var_xbar
                     + abs(m.ratio * m.cov_yxbar))
@@ -94,11 +94,14 @@ class TestExpRatio:
 
     @given(population_params(), st.floats(0.1, 1e4), st.floats(0.1, 1e4))
     def test_monotone_in_error_variances(self, params, du, dv):
-        base = mse_exp_ratio(params).total
-        more_u = mse_exp_ratio(dataclasses.replace(
-            params, sigma_u2=params.sigma_u2 + du)).total
-        more_v = mse_exp_ratio(dataclasses.replace(
-            params, sigma_v2=params.sigma_v2 + dv)).total
+        def total(p):
+            return mse_exp_ratio(p, derive_moments(p)).total
+
+        base = total(params)
+        more_u = total(dataclasses.replace(
+            params, sigma_u2=params.sigma_u2 + du))
+        more_v = total(dataclasses.replace(
+            params, sigma_v2=params.sigma_v2 + dv))
         assert more_u >= base
         assert more_v >= base
 
@@ -106,8 +109,8 @@ class TestExpRatio:
         # the exp ratio beats the mean per unit; with ratio * cov_yxbar > 0
         # that is ratio * var_xbar / cov_yxbar <= 4
         m = derive_moments(table_params)
-        assert (mse_exp_ratio(table_params).total
-                <= var_mean_per_unit(table_params).total)
+        assert (mse_exp_ratio(table_params, derive_moments(table_params)).total
+                <= var_mean_per_unit(*moment_pair(table_params)).total)
         assert m.ratio * m.var_xbar / m.cov_yxbar == pytest.approx(
             1.258871526864795, rel=1e-12)
 
@@ -115,14 +118,17 @@ class TestExpRatio:
         # with rho = 0 the correction only adds variance
         params = dataclasses.replace(table_params, rho=0.0)
         assert derive_moments(params).cov_yxbar == 0.0
-        assert mse_exp_ratio(params).total > var_mean_per_unit(params).total
+        m, m_free = moment_pair(params)
+        assert (mse_exp_ratio(params, m).total
+                > var_mean_per_unit(m, m_free).total)
 
 
 class TestWeightedDifference:
     def test_regression_slope_values(self, table_params):
         slope = regression_slope(derive_moments(table_params))
         assert slope == pytest.approx(0.593435316938142, rel=1e-12)
-        slope_free = regression_slope(derive_moments(error_free(table_params)))
+        slope_free = regression_slope(
+            derive_moments(table_params, error_free=True))
         assert slope_free == pytest.approx(0.599909156759285, rel=1e-12)
 
     def test_regression_row_values(self, table_params):
@@ -130,13 +136,13 @@ class TestWeightedDifference:
         total = mse_weighted_diff(m, table_params.mu_y, 1.0,
                                   regression_slope(m))
         assert total == pytest.approx(13.917597410071942, rel=1e-12)
-        m0 = derive_moments(error_free(table_params))
+        m0 = derive_moments(table_params, error_free=True)
         without = mse_weighted_diff(m0, table_params.mu_y, 1.0,
                                     regression_slope(m0))
         assert without == pytest.approx(9.035971200000000, rel=1e-12)
 
     def test_regression_breakdown_matches_composition(self, table_params):
-        bd = mse_regression_diff(table_params)
+        bd = mse_regression_diff(*moment_pair(table_params), table_params.mu_y)
         assert bd.without_me == pytest.approx(9.035971200000000, rel=1e-12)
         assert bd.total == pytest.approx(13.917597410071942, rel=1e-12)
         assert bd.without_me + bd.me_contribution == bd.total
@@ -161,7 +167,8 @@ class TestWeightedDifference:
         assert opt.min_mse == pytest.approx(13.905598369842689, rel=1e-12)
 
     def test_min_mse_breakdown_benchmark(self, table_params):
-        opt, bd = min_mse_weighted_diff(table_params)
+        opt, bd = min_mse_weighted_diff(*moment_pair(table_params),
+                                        table_params.mu_y)
         assert opt.min_mse == bd.total
         assert bd.without_me == pytest.approx(9.030911800227132, rel=1e-12)
         assert bd.me_contribution == pytest.approx(4.874686569615558, rel=1e-12)
@@ -255,7 +262,7 @@ class TestPowerExpRatio:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_benchmark_mse_and_bias(self, table_params, pair):
         total, without, me, bias = POWER_EXP_BENCHMARK[pair]
-        bd = mse_power_exp(table_params, PowerExpBracket(*pair))
+        bd = mse_power_exp(*moment_pair(table_params), PowerExpBracket(*pair))
         assert bd.total == pytest.approx(total, rel=1e-12)
         assert bd.without_me == pytest.approx(without, rel=1e-12)
         assert bd.me_contribution == pytest.approx(me, rel=1e-11)
@@ -318,7 +325,8 @@ class TestWeightedPowerExp:
     def test_optimum_benchmark(self, table_params, pair):
         first, second, min_mse, min_free, me, bias = OPTIMA_BENCHMARK[pair]
         bracket = PowerExpBracket(*pair)
-        opt, bd = min_mse_weighted_power_exp(table_params, bracket)
+        opt, bd = min_mse_weighted_power_exp(*moment_pair(table_params),
+                                             table_params.mu_y, bracket)
         assert opt.first == pytest.approx(first, rel=1e-9)
         assert opt.second == pytest.approx(second, rel=1e-9)
         assert opt.min_mse == pytest.approx(min_mse, rel=1e-12)
@@ -380,9 +388,10 @@ class TestWeightedPowerExp:
                 assert perturbed >= opt.min_mse - 1e-12 * opt.min_mse
 
     def test_dominance_over_mean_per_unit(self, table_params):
-        reference = var_mean_per_unit(table_params).total
+        reference = var_mean_per_unit(*moment_pair(table_params)).total
         for pair in PAIRS:
-            opt, _ = min_mse_weighted_power_exp(table_params,
+            opt, _ = min_mse_weighted_power_exp(*moment_pair(table_params),
+                                                table_params.mu_y,
                                                 PowerExpBracket(*pair))
             assert opt.min_mse <= reference
 
@@ -427,24 +436,25 @@ PRE_BENCHMARK = [
 
 class TestPre:
     def test_reference_is_exactly_100(self, table_params):
-        ref = var_mean_per_unit(table_params).total
+        ref = var_mean_per_unit(*moment_pair(table_params)).total
         assert pre(ref, ref) == 100.0
 
     def test_benchmark_values(self, table_params):
-        ref = var_mean_per_unit(table_params).total
-        m = derive_moments(table_params)
-        assert pre(ref, mse_exp_ratio(table_params).total) == pytest.approx(
+        m, m_free = moment_pair(table_params)
+        ref = var_mean_per_unit(m, m_free).total
+        assert pre(ref, mse_exp_ratio(table_params, m).total) == pytest.approx(
             437.270796, abs=1e-6)
         treg = mse_weighted_diff(m, table_params.mu_y, 1.0,
                                  regression_slope(m))
         assert pre(ref, treg) == pytest.approx(944.128474, abs=1e-6)
-        opt, _ = min_mse_weighted_diff(table_params)
+        opt, _ = min_mse_weighted_diff(m, m_free, table_params.mu_y)
         assert pre(ref, opt.min_mse) == pytest.approx(944.943155, abs=1e-6)
         for pair, unweighted, weighted in PRE_BENCHMARK[4:]:
             bracket = PowerExpBracket(*pair)
-            assert pre(ref, mse_power_exp(table_params, bracket).total
+            assert pre(ref, mse_power_exp(m, m_free, bracket).total
                        ) == pytest.approx(unweighted, abs=1e-6)
-            opt, _ = min_mse_weighted_power_exp(table_params, bracket)
+            opt, _ = min_mse_weighted_power_exp(m, m_free, table_params.mu_y,
+                                                bracket)
             assert pre(ref, opt.min_mse) == pytest.approx(weighted, abs=1e-6)
 
     def test_rejects_nonpositive(self):
@@ -511,14 +521,14 @@ class TestRescaledScenario:
 
 class TestDispatcher:
     def test_matches_per_estimator_functions(self, table_params):
-        m = derive_moments(table_params)
+        m, m_free = moment_pair(table_params)
         pe = PowerExpBracket(1.0, 1.0)
         cases = [
-            (Estimator(), var_mean_per_unit(table_params).total),
-            (EXP_RATIO, mse_exp_ratio(table_params).total),
+            (Estimator(), var_mean_per_unit(m, m_free).total),
+            (EXP_RATIO, mse_exp_ratio(table_params, m).total),
             (Estimator(0.9, 0.4),
              mse_weighted_diff(m, table_params.mu_y, 0.9, 0.4)),
-            (Estimator(bracket=pe), mse_power_exp(table_params, pe).total),
+            (Estimator(bracket=pe), mse_power_exp(m, m_free, pe).total),
             (Estimator(0.9, -0.4, pe),
              mse_quadratic(m, pe).mse(table_params.mu_y, 0.9, -0.4)),
             (Estimator(0.9, -0.4, ExpBracket()),
@@ -539,7 +549,7 @@ class TestDispatcher:
         spec = plan["regression_diff"].spec
         assert spec == plan["mean_per_unit"].spec == Estimator()
         total = theory_mse(spec, params)
-        assert total == var_mean_per_unit(params).total
+        assert total == var_mean_per_unit(*moment_pair(params)).total
         formula = mse_weighted_diff(derive_moments(params), params.mu_y,
                                     1.0, 0.0)
         assert total == 0.47 and formula == 0.47000000000000003
@@ -549,5 +559,5 @@ class TestDispatcher:
     @settings(max_examples=30)
     def test_totals_agree_with_breakdowns(self, params, pair):
         bracket = PowerExpBracket(*map(float, pair))
-        bd = mse_power_exp(params, bracket)
+        bd = mse_power_exp(*moment_pair(params), bracket)
         assert theory_mse(Estimator(bracket=bracket), params) == bd.total
