@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .estimators import Estimator, ExpBracket, PowerExpBracket
+from .estimators import Estimator, EvaluationError, ExpBracket, PowerExpBracket
 from .ingest import (
     ColumnMap,
     DatasetError,
@@ -541,6 +541,9 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        raise _UsageError(
+            f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
     params, _ = _resolve_params(args)
     config = SimulationConfig(params=params,
                               replicates=args.replicates,
@@ -567,7 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DatasetError, ConfigError,
+    except (ParameterError, DatasetError, ConfigError, EvaluationError,
             AllReplicatesSkippedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -21,7 +21,9 @@ as ``linear`` (B) and ``quadratic`` (A).
 
 Evaluation is exact (the defining expressions, not their expansions). The
 kernel ``evaluate_at_means`` accepts scalars or numpy arrays so the Monte
-Carlo engine can run it over a whole replicate batch at once.
+Carlo engine can run it over a whole replicate batch at once; for one
+sample, pass it the means of the ``(y, x)`` arrays ``draw_replicate`` (in
+``simulate``) returns, and ``hazard_free`` says where the value is defined.
 """
 
 from __future__ import annotations
@@ -34,51 +36,16 @@ import numpy as np
 
 __all__ = [
     "EvaluationError",
-    "ObservedSample",
     "Estimator",
     "ExpBracket",
     "PowerExpBracket",
-    "evaluate",
     "evaluate_at_means",
     "hazard_free",
 ]
 
 
 class EvaluationError(ValueError):
-    """Raised for malformed samples and estimator domain hazards."""
-
-
-NON_FINITE_SAMPLE = "sample values must be finite"
-
-
-@dataclass(frozen=True)
-class ObservedSample:
-    """One simple random sample of observed (study, auxiliary) pairs."""
-
-    y: np.ndarray   # observed study values
-    x: np.ndarray   # observed auxiliary values
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.float64)
-        x = np.asarray(self.x, dtype=np.float64)
-        if y.ndim != 1 or x.ndim != 1:
-            raise EvaluationError("sample columns must be one-dimensional")
-        if y.size == 0:
-            raise EvaluationError("sample must be non-empty")
-        if y.size != x.size:
-            raise EvaluationError(
-                f"column lengths differ: {y.size} study vs {x.size} auxiliary")
-        if not (np.isfinite(y).all() and np.isfinite(x).all()):
-            raise EvaluationError(NON_FINITE_SAMPLE)
-        y = y.copy()
-        x = x.copy()
-        y.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-
-    def __len__(self) -> int:
-        return int(self.y.size)
+    """Raised for non-finite estimator coefficients and samples."""
 
 
 def _check_finite_coeffs(obj, names) -> None:
@@ -175,7 +142,7 @@ def evaluate_at_means(spec: Estimator, ybar, xbar, mu_x: float):
     ``ybar`` and ``xbar`` may be floats or numpy arrays of equal shape. No
     hazard screening is performed here; sites feeding arrays are expected to
     combine this with ``hazard_free`` and a finiteness check, which is what
-    the simulation engine does. Scalar users normally want ``evaluate``.
+    the simulation engine does.
     """
     head = spec.mean_weight * ybar + spec.aux_weight * (mu_x - xbar)
     if spec.bracket is None:
@@ -193,30 +160,3 @@ def hazard_free(spec: Estimator, xbar, mu_x: float):
     if spec.bracket is None:
         return _everywhere(xbar, True)
     return spec.bracket.hazard_free(xbar, mu_x)
-
-
-def evaluate(spec: Estimator, sample: ObservedSample, mu_x: float) -> float:
-    """Evaluate one estimator on one sample, raising on domain hazards.
-
-    Raises
-    ------
-    EvaluationError
-        If xbar + mu_x = 0, if a non-integral power would be applied to a
-        non-positive base, or if the result is not finite.
-    """
-    if not math.isfinite(mu_x):
-        raise EvaluationError(f"mu_x must be finite, got {mu_x!r}")
-    ybar = float(sample.y.mean())
-    xbar = float(sample.x.mean())
-    if not bool(hazard_free(spec, xbar, mu_x)):
-        raise EvaluationError(
-            f"domain hazard for {spec!r} at xbar={xbar!r}, "
-            f"mu_x={mu_x!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(evaluate_at_means(spec, ybar, xbar, mu_x))
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"{spec!r} evaluated to a non-finite value at "
-            f"ybar={ybar!r}, xbar={xbar!r}")
-    return value
-

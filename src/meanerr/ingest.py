@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Union
 
@@ -96,22 +97,6 @@ class MeasuredDataset:
         for key, arr in arrays.items():
             object.__setattr__(self, key, arr)
 
-    @classmethod
-    def from_rows(cls, rows, name: str = "dataset") -> "MeasuredDataset":
-        arr = np.asarray(list(rows), dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise DatasetError(
-                "rows must be (true_study, true_aux, observed_study, "
-                "observed_aux) quadruples")
-        return cls(true_study=arr[:, 0], true_aux=arr[:, 1],
-                   observed_study=arr[:, 2], observed_aux=arr[:, 3], name=name)
-
-    @property
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        return list(zip(self.true_study.tolist(), self.true_aux.tolist(),
-                        self.observed_study.tolist(),
-                        self.observed_aux.tolist()))
-
     def __len__(self) -> int:
         return int(self.true_study.size)
 
@@ -183,8 +168,6 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
               for i, column in zip(indices, wanted)]
              for row_number, record in enumerate(records, start=1)],
             dtype=np.float64).reshape(-1, 4)
-    if len(values) < 2:
-        raise DatasetError(f"dataset needs at least 2 rows, got {len(values)}")
     return MeasuredDataset(*values.T, name=name)
 
 
@@ -215,13 +198,22 @@ def compute_params(ds: MeasuredDataset, n_for_theory: int) -> PopulationParams:
     if var_y == 0.0 or var_x == 0.0:
         raise DatasetError(
             "a true column is constant; correlation is undefined")
+    product = var_y * var_x
+    if sys.float_info.min <= product <= sys.float_info.max:
+        scale = math.sqrt(product)
+    else:
+        # the product overflowed, or lost precision below the normal range
+        scale = math.sqrt(var_y) * math.sqrt(var_x)
+    # |rho| <= 1 by Cauchy-Schwarz; the clip removes only rounding excess,
+    # such as 1.0000000000000002 on perfectly correlated columns
+    rho = float(np.clip(cov / scale, -1.0, 1.0))
     return PopulationParams(
         n=n_for_theory,
         mu_y=mu_y,
         mu_x=mu_x,
         sigma_y2=var_y,
         sigma_x2=var_x,
-        rho=cov / math.sqrt(var_y * var_x),
+        rho=rho,
         sigma_u2=var_u,
         sigma_v2=var_v,
     )

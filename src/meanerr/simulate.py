@@ -10,8 +10,9 @@ replicate's substream; Philox output depends only on (key, counter), so the
 variates are exactly those of a fresh substream. Replicates are drawn in
 blocks of ``_BLOCK`` rows, and the observed values and their means are
 computed over the whole block in the per-replicate operation order, so the
-means equal those of drawing one replicate at a time (``draw_replicate`` is
-a one-row call of the same kernel) bit for bit. All aggregation uses exact
+means equal those of drawing one replicate at a time bit for bit:
+``draw_replicate`` is a one-row call of the same kernel and returns that
+replicate's observed ``(y, x)`` arrays. All aggregation uses exact
 summation, so results are bit-identical for any order of the replicates.
 
 Replicates where an estimator lands in its domain hazard (or overflows) are
@@ -30,10 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import (
-    NON_FINITE_SAMPLE,
     Estimator,
     EvaluationError,
-    ObservedSample,
     evaluate_at_means,
     hazard_free,
 )
@@ -57,6 +56,7 @@ _MAX_REPLICATES = np.iinfo(np.intp).max // 8
 # its temporaries as much again: at n = 200, peak memory rose 0.5 MiB at 64
 # and 3.6 MiB at 256 over 32, with no speed-up beyond run-to-run noise.
 _BLOCK = 32
+_NON_FINITE_SAMPLE = "sample values must be finite"
 
 
 class ConfigError(ValueError):
@@ -210,12 +210,13 @@ def _observed_block(config: SimulationConfig, rng: np.random.Generator,
     y += math.sqrt(p.sigma_u2) * block[:, 2 * n:3 * n]
     x += math.sqrt(p.sigma_v2) * block[:, 3 * n:]
     if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise EvaluationError(NON_FINITE_SAMPLE)
+        raise EvaluationError(_NON_FINITE_SAMPLE)
     return y, x
 
 
-def draw_replicate(config: SimulationConfig, replicate_index: int) -> ObservedSample:
-    """Generate one observed sample, deterministically in (seed, index).
+def draw_replicate(config: SimulationConfig,
+                   replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(y, x)`` arrays of one observed sample, fixed by (seed, index).
 
     Draw order is fixed: 2n standard normals for the truth pair, then 2n
     error-law variates (study block first). The error variates are drawn
@@ -230,7 +231,7 @@ def draw_replicate(config: SimulationConfig, replicate_index: int) -> ObservedSa
             f"replicate_index must be below 2**64, got {replicate_index}")
     y, x = _observed_block(config, _substream(config.seed, replicate_index),
                            replicate_index, replicate_index + 1)
-    return ObservedSample(y=y[0], x=x[0])
+    return y[0], x[0]
 
 
 def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:

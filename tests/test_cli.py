@@ -136,6 +136,22 @@ class TestParamsCommand:
         row = json_rows(out)[0]
         assert row == pytest.approx(EXPECTED_DATA_PARAMS)
 
+    def test_perfectly_correlated_data(self, capsys, tmp_path):
+        # X = 2Y + 1 exactly; the divisor-N moments put the correlation at
+        # 1.0000000000000002 before rounding excess is clipped
+        path = tmp_path / "line.csv"
+        path.write_text(
+            "Y,X,y,x\n" + "".join(
+                f"{y},{x},{y},{x}\n" for y, x in (
+                    (91.98, 184.96), (-10.87, -20.74), (1.26, 3.52),
+                    (-14.67, -28.34), (66.45, 133.9), (95.4, 191.8),
+                    (26.15, 53.3))),
+            encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, ["params", "--data", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json_rows(out)[0]["rho"] == 1.0
+
     def test_data_n_override(self, capsys, data_file):
         _, out, _ = run_cli(
             capsys,
@@ -239,6 +255,46 @@ class TestOverflowingData:
         assert code == 2
         assert out == ""
         assert err == "error: all parameters must be finite\n"
+
+
+class TestVarianceProductOutOfRange:
+    """Perfectly correlated columns whose variances are finite but whose
+    product overflows (HUGE) or underflows (TINY)."""
+
+    HUGE = "Y,X,y,x\n1e100,1e100,1e100,1e100\n3e100,3e100,3e100,3e100\n"
+    TINY = ("Y,X,y,x\n1e-150,1e-150,1e-150,1e-150\n"
+            "2e-150,3e-150,2e-150,3e-150\n")
+    COMMANDS = [["theory"], ["simulate", "--replicates", "100"]]
+
+    @staticmethod
+    def write(tmp_path, text):
+        path = tmp_path / "line.csv"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("text", [HUGE, TINY], ids=["huge", "tiny"])
+    def test_rho_is_one(self, capsys, tmp_path, text):
+        code, out, err = run_cli(
+            capsys,
+            ["params", "--data", self.write(tmp_path, text), "--format",
+             "json"])
+        assert (code, err) == (0, "")
+        assert json_rows(out)[0]["rho"] == 1.0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_finite_optimal_weights_are_data_error(self, capsys,
+                                                       tmp_path, command):
+        code, out, err = run_cli(
+            capsys, [*command, "--data", self.write(tmp_path, self.HUGE)])
+        assert (code, out) == (2, "")
+        assert err == "error: Estimator.mean_weight must be finite, got nan\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_underflowing_product_runs(self, capsys, tmp_path, command):
+        code, out, err = run_cli(
+            capsys, [*command, "--data", self.write(tmp_path, self.TINY)])
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestUsageAndHelp:
@@ -548,6 +604,12 @@ class TestSimulateCommand:
     def test_loose_tolerance_passes(self, capsys):
         code, _, _ = run_cli(capsys, [*SMALL_RUN, "--tolerance", "10"])
         assert code == 0
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_unusable_tolerance_is_usage_error(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, [*SMALL_RUN, "--tolerance", tolerance])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --tolerance must be a finite number >= 0")
 
     def test_student_t_needs_df(self, capsys):
         code, _, err = run_cli(

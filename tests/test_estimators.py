@@ -13,12 +13,11 @@ from meanerr.estimators import (
     Estimator,
     EvaluationError,
     ExpBracket,
-    ObservedSample,
     PowerExpBracket,
-    evaluate,
     evaluate_at_means,
     hazard_free,
 )
+from meanerr.simulate import _aggregate_spec
 
 MEAN_PER_UNIT = Estimator()
 EXP_RATIO = Estimator(bracket=ExpBracket())
@@ -33,129 +32,109 @@ def weighted_power_exp(mean_weight, aux_weight, alpha, beta):
 
 
 @pytest.fixture
-def small_sample():
-    """ybar = 4 and xbar = 6 exactly."""
-    return ObservedSample(y=np.array([2.0, 4.0, 6.0]),
-                          x=np.array([4.0, 8.0, 6.0]))
+def small_means():
+    """(ybar, xbar) = (4, 6), the means of y = (2, 4, 6), x = (4, 8, 6)."""
+    return 4.0, 6.0
 
 
-def positive_samples():
-    """Samples with strictly positive auxiliary values, clear of hazards."""
+def positive_means():
+    """(ybar, xbar) of samples with strictly positive auxiliary values,
+    clear of hazards."""
     values = st.floats(min_value=0.5, max_value=100.0,
                        allow_nan=False, allow_infinity=False)
     return st.lists(st.tuples(values, values), min_size=1, max_size=30).map(
-        lambda pairs: ObservedSample(y=np.array([y for y, _ in pairs]),
-                                     x=np.array([x for _, x in pairs])))
-
-
-class TestObservedSample:
-    def test_rejects_empty(self):
-        with pytest.raises(EvaluationError):
-            ObservedSample(y=np.array([]), x=np.array([]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(EvaluationError):
-            ObservedSample(y=np.array([1.0, 2.0]), x=np.array([1.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(EvaluationError):
-            ObservedSample(y=np.array([1.0, np.nan]), x=np.array([1.0, 2.0]))
-
-    def test_length(self, small_sample):
-        assert len(small_sample) == 3
-
-    def test_columns_are_read_only(self, small_sample):
-        with pytest.raises(ValueError):
-            small_sample.y[0] = 99.0
+        lambda pairs: (float(np.mean([y for y, _ in pairs])),
+                       float(np.mean([x for _, x in pairs]))))
 
 
 class TestExactReductions:
     """Identities that must hold bit-for-bit, not approximately."""
 
-    def test_mean_per_unit(self, small_sample):
-        assert evaluate(MEAN_PER_UNIT, small_sample, mu_x=12.0) == 4.0
+    def test_mean_per_unit(self, small_means):
+        assert evaluate_at_means(MEAN_PER_UNIT, *small_means, mu_x=12.0) == 4.0
 
     def test_exp_ratio_at_mu_x(self):
         """xbar = mu_x kills the exponent: the estimator is exactly ybar."""
-        s = ObservedSample(y=np.array([3.0, 5.0]), x=np.array([10.0, 14.0]))
-        assert evaluate(EXP_RATIO, s, mu_x=12.0) == 4.0
+        assert evaluate_at_means(EXP_RATIO, 4.0, 12.0, mu_x=12.0) == 4.0
 
-    def test_weighted_identity_weights(self, small_sample):
-        assert evaluate(Estimator(1.0, 0.0), small_sample, 12.0) == 4.0
+    def test_weighted_identity_weights(self, small_means):
+        assert evaluate_at_means(Estimator(1.0, 0.0), *small_means,
+                                 12.0) == 4.0
 
-    def test_power_exp_zero_coefficients(self, small_sample):
-        assert evaluate(power_exp(0.0, 0.0), small_sample, 12.0) == 4.0
+    def test_power_exp_zero_coefficients(self, small_means):
+        assert evaluate_at_means(power_exp(0.0, 0.0), *small_means,
+                                 12.0) == 4.0
 
     def test_power_exp_bracket_collapses_at_mu_x(self):
         """At xbar = mu_x the bracket is 2 - 1 = 1 for every (alpha, beta)."""
-        s = ObservedSample(y=np.array([3.0, 5.0]), x=np.array([10.0, 14.0]))
         for alpha, beta in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0),
                             (2.5, -0.5)]:
-            assert evaluate(power_exp(alpha, beta), s, mu_x=12.0) == 4.0
+            assert evaluate_at_means(power_exp(alpha, beta), 4.0, 12.0,
+                                     mu_x=12.0) == 4.0
 
-    def test_weighted_power_exp_identity(self, small_sample):
-        assert evaluate(weighted_power_exp(1.0, 0.0, 0.0, 0.0),
-                        small_sample, 12.0) == 4.0
+    def test_weighted_power_exp_identity(self, small_means):
+        assert evaluate_at_means(weighted_power_exp(1.0, 0.0, 0.0, 0.0),
+                                 *small_means, 12.0) == 4.0
 
     def test_weighted_power_exp_at_mu_x_scales_by_mean_weight(self):
-        s = ObservedSample(y=np.array([3.0, 5.0]), x=np.array([10.0, 14.0]))
-        got = evaluate(weighted_power_exp(0.75, 0.5, 1.0, 1.0), s, 12.0)
+        got = evaluate_at_means(weighted_power_exp(0.75, 0.5, 1.0, 1.0),
+                                4.0, 12.0, 12.0)
         assert got == 0.75 * 4.0
 
 
 class TestReEvaluationOracles:
     """Recompute the defining expressions inline with math.* and compare."""
 
-    def test_exp_ratio(self, small_sample):
-        got = evaluate(EXP_RATIO, small_sample, mu_x=12.0)
+    def test_exp_ratio(self, small_means):
+        got = evaluate_at_means(EXP_RATIO, *small_means, mu_x=12.0)
         assert got == pytest.approx(4.0 * math.exp((12.0 - 6.0) / (12.0 + 6.0)),
                                     rel=1e-15)
 
-    def test_weighted_difference(self, small_sample):
-        got = evaluate(Estimator(0.9, 0.4), small_sample, mu_x=12.0)
+    def test_weighted_difference(self, small_means):
+        got = evaluate_at_means(Estimator(0.9, 0.4), *small_means, mu_x=12.0)
         assert got == pytest.approx(0.9 * 4.0 + 0.4 * (12.0 - 6.0), rel=1e-15)
 
-    def test_power_exp_ratio(self, small_sample):
-        got = evaluate(power_exp(1.0, 1.0), small_sample, mu_x=12.0)
+    def test_power_exp_ratio(self, small_means):
+        got = evaluate_at_means(power_exp(1.0, 1.0), *small_means, mu_x=12.0)
         bracket = 2.0 - (6.0 / 12.0) ** 1.0 * math.exp(1.0 * (6.0 - 12.0) / (6.0 + 12.0))
         assert got == pytest.approx(4.0 * bracket, rel=1e-15)
 
-    def test_weighted_power_exp_ratio(self, small_sample):
-        got = evaluate(weighted_power_exp(0.9, -0.2, 1.0, -1.0),
-                       small_sample, mu_x=12.0)
+    def test_weighted_power_exp_ratio(self, small_means):
+        got = evaluate_at_means(weighted_power_exp(0.9, -0.2, 1.0, -1.0),
+                                *small_means, mu_x=12.0)
         bracket = 2.0 - (0.5) ** 1.0 * math.exp(-1.0 * (-6.0) / 18.0)
         assert got == pytest.approx((0.9 * 4.0 - 0.2 * 6.0) * bracket, rel=1e-15)
 
 
 class TestFamilyNesting:
-    @given(positive_samples(),
+    @given(positive_means(),
            st.floats(min_value=-3, max_value=3, allow_nan=False),
            st.floats(min_value=-3, max_value=3, allow_nan=False))
     @settings(max_examples=60)
-    def test_unit_weights_reduce_to_power_exp(self, sample, alpha, beta):
+    def test_unit_weights_reduce_to_power_exp(self, means, alpha, beta):
         # at weights (1, 0) the linear head is ybar exactly
         mu_x = 7.0
-        ybar, xbar = float(sample.y.mean()), float(sample.x.mean())
+        ybar, xbar = means
         plain = ybar * (2.0 - np.power(xbar / mu_x, alpha)
                         * np.exp(beta * (xbar - mu_x) / (xbar + mu_x)))
-        assert evaluate(weighted_power_exp(1.0, 0.0, alpha, beta), sample,
-                        mu_x) == plain
+        assert evaluate_at_means(weighted_power_exp(1.0, 0.0, alpha, beta),
+                                 ybar, xbar, mu_x) == plain
 
-    @given(positive_samples(),
+    @given(positive_means(),
            st.floats(min_value=-2, max_value=2, allow_nan=False),
            st.floats(min_value=-2, max_value=2, allow_nan=False))
     @settings(max_examples=60)
-    def test_zero_coefficients_reduce_to_weighted(self, sample, w1, w2):
+    def test_zero_coefficients_reduce_to_weighted(self, means, w1, w2):
         mu_x = 7.0
-        nested = evaluate(weighted_power_exp(w1, w2, 0.0, 0.0), sample, mu_x)
-        plain = evaluate(Estimator(w1, w2), sample, mu_x)
+        nested = evaluate_at_means(weighted_power_exp(w1, w2, 0.0, 0.0),
+                                   *means, mu_x)
+        plain = evaluate_at_means(Estimator(w1, w2), *means, mu_x)
         assert nested == plain
 
-    @given(positive_samples())
+    @given(positive_means())
     @settings(max_examples=60)
-    def test_weighted_identity_matches_mean(self, sample):
-        assert (evaluate(Estimator(1.0, 0.0), sample, 7.0)
-                == float(sample.y.mean()))
+    def test_weighted_identity_matches_mean(self, means):
+        assert evaluate_at_means(Estimator(1.0, 0.0), *means, 7.0) == means[0]
 
 
 class TestContinuityProbe:
@@ -173,39 +152,52 @@ class TestContinuityProbe:
         assert slopes[1] == pytest.approx(slopes[2], rel=1e-5)
 
 
+def engine_skips(spec, ybar, xbar, mu_x):
+    """Replicates the engine's aggregation skips out of two: one at
+    (ybar, xbar) and one clean replicate at xbar = mu_x."""
+    result = _aggregate_spec(spec, np.array([ybar, ybar]),
+                             np.array([xbar, mu_x]), mu_y=ybar, mu_x=mu_x,
+                             theory=1.0)
+    assert result.replicates_used + result.replicates_skipped == 2
+    return result.replicates_skipped
+
+
 class TestHazards:
+    """Each hazard as the engine meets it: ``hazard_free`` is False there and
+    the aggregation counts the replicate in ``replicates_skipped``."""
+
     def test_exp_ratio_singular_denominator(self):
-        s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-4.0, -8.0]))
-        with pytest.raises(EvaluationError, match="hazard"):
-            evaluate(EXP_RATIO, s, mu_x=6.0)
+        assert not hazard_free(EXP_RATIO, -6.0, mu_x=6.0)
+        assert engine_skips(EXP_RATIO, 1.5, -6.0, mu_x=6.0) == 1
 
     def test_power_exp_singular_denominator(self):
-        s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-4.0, -8.0]))
-        with pytest.raises(EvaluationError, match="hazard"):
-            evaluate(power_exp(1.0, 0.0), s, mu_x=6.0)
+        assert not hazard_free(power_exp(1.0, 0.0), -6.0, mu_x=6.0)
+        assert engine_skips(power_exp(1.0, 0.0), 1.5, -6.0, mu_x=6.0) == 1
 
     def test_fractional_power_of_negative_base(self):
-        s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-2.0, -4.0]))
-        with pytest.raises(EvaluationError, match="hazard"):
-            evaluate(power_exp(0.5, 0.0), s, mu_x=6.0)
+        assert not hazard_free(power_exp(0.5, 0.0), -3.0, mu_x=6.0)
+        assert engine_skips(power_exp(0.5, 0.0), 1.5, -3.0, mu_x=6.0) == 1
 
     def test_integral_power_of_negative_base_is_fine(self):
-        s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-2.0, -4.0]))
-        got = evaluate(power_exp(2.0, 0.0), s, mu_x=6.0)
+        assert hazard_free(power_exp(2.0, 0.0), -3.0, mu_x=6.0)
+        got = evaluate_at_means(power_exp(2.0, 0.0), 1.5, -3.0, mu_x=6.0)
         assert got == pytest.approx(1.5 * (2.0 - 0.25), rel=1e-15)
+        assert engine_skips(power_exp(2.0, 0.0), 1.5, -3.0, mu_x=6.0) == 0
 
     def test_weighted_difference_has_no_hazard_there(self):
-        s = ObservedSample(y=np.array([1.0, 2.0]), x=np.array([-4.0, -8.0]))
-        assert evaluate(Estimator(1.0, 1.0), s, 6.0) == 1.5 + 12.0
+        spec = Estimator(1.0, 1.0)
+        assert hazard_free(spec, -6.0, mu_x=6.0)
+        assert evaluate_at_means(spec, 1.5, -6.0, 6.0) == 1.5 + 12.0
+        assert engine_skips(spec, 1.5, -6.0, mu_x=6.0) == 0
 
     def test_overflow_to_non_finite(self):
-        s = ObservedSample(y=np.array([1.0]), x=np.array([-5.999999999]))
-        with pytest.raises(EvaluationError, match="non-finite"):
-            evaluate(power_exp(0.0, -1000.0), s, mu_x=6.0)
-
-    def test_non_finite_mu_x(self, small_sample):
-        with pytest.raises(EvaluationError):
-            evaluate(MEAN_PER_UNIT, small_sample, mu_x=math.nan)
+        # clear of every hazard, but the exponent overflows
+        spec = power_exp(0.0, -1000.0)
+        assert hazard_free(spec, -5.999999999, mu_x=6.0)
+        with np.errstate(over="ignore"):
+            value = evaluate_at_means(spec, 1.0, -5.999999999, mu_x=6.0)
+        assert not math.isfinite(value)
+        assert engine_skips(spec, 1.0, -5.999999999, mu_x=6.0) == 1
 
     def test_hazard_free_vectorizes(self):
         xbar = np.array([-6.0, -3.0, 3.0])

@@ -13,7 +13,7 @@ from meanerr.estimators import (
     EvaluationError,
     ExpBracket,
     PowerExpBracket,
-    evaluate,
+    evaluate_at_means,
 )
 from meanerr.moments import PopulationParams
 from meanerr.simulate import (
@@ -92,26 +92,28 @@ class TestConfigValidation:
 
 class TestDrawReplicate:
     def test_deterministic_in_seed_and_index(self, config):
-        a = draw_replicate(config, 5)
-        b = draw_replicate(config, 5)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.x, b.x)
+        a_y, a_x = draw_replicate(config, 5)
+        b_y, b_x = draw_replicate(config, 5)
+        assert np.array_equal(a_y, b_y)
+        assert np.array_equal(a_x, b_x)
 
     def test_distinct_indices_differ(self, config):
-        a = draw_replicate(config, 0)
-        b = draw_replicate(config, 1)
-        assert not np.array_equal(a.y, b.y)
+        a_y, _ = draw_replicate(config, 0)
+        b_y, _ = draw_replicate(config, 1)
+        assert not np.array_equal(a_y, b_y)
 
     def test_distinct_seeds_differ(self, config):
         other = dataclasses.replace(config, seed=SEED + 1)
-        assert not np.array_equal(draw_replicate(config, 0).y,
-                                  draw_replicate(other, 0).y)
+        assert not np.array_equal(draw_replicate(config, 0)[0],
+                                  draw_replicate(other, 0)[0])
 
     def test_sample_n_override(self, config):
-        assert len(draw_replicate(config, 0)) == 10
+        y, x = draw_replicate(config, 0)
+        assert y.shape == x.shape == (10,)
         wide = dataclasses.replace(
             config, params=dataclasses.replace(config.params, n=37))
-        assert len(draw_replicate(wide, 0)) == 37
+        y, x = draw_replicate(wide, 0)
+        assert y.shape == x.shape == (37,)
 
     @pytest.mark.parametrize("index", [-1, 2**64, 3.0, True])
     def test_rejects_bad_index(self, config, index):
@@ -121,10 +123,10 @@ class TestDrawReplicate:
     def test_zero_error_variances_reproduce_truth(self, table_params):
         params = dataclasses.replace(table_params, sigma_u2=0.0, sigma_v2=0.0)
         cfg = SimulationConfig(params=params, replicates=100, seed=SEED)
-        sample = draw_replicate(cfg, 3)
+        y, x = draw_replicate(cfg, 3)
         y_true, x_true = replay_truth(params, SEED, 3, params.n)
-        assert np.array_equal(sample.y, y_true)
-        assert np.array_equal(sample.x, x_true)
+        assert np.array_equal(y, y_true)
+        assert np.array_equal(x, x_true)
 
     def test_truth_block_invariant_to_error_law(self, table_params):
         # the error variates are drawn after the truth block, so at zero
@@ -135,11 +137,11 @@ class TestDrawReplicate:
         unif = SimulationConfig(**base, error_law=ErrorLaw.UNIFORM)
         t = SimulationConfig(**base, error_law=ErrorLaw.STUDENT_T, error_df=8.0)
         for index in (0, 7):
-            ref = draw_replicate(gauss, index)
+            ref_y, ref_x = draw_replicate(gauss, index)
             for cfg in (unif, t):
-                got = draw_replicate(cfg, index)
-                assert np.array_equal(got.y, ref.y)
-                assert np.array_equal(got.x, ref.x)
+                got_y, got_x = draw_replicate(cfg, index)
+                assert np.array_equal(got_y, ref_y)
+                assert np.array_equal(got_x, ref_x)
 
     def test_pooled_moments_match_population(self, table_params):
         # law-of-large-numbers oracle over 10^6 pooled observations
@@ -148,9 +150,9 @@ class TestDrawReplicate:
             replicates=5000, seed=SEED)
         ys, xs = [], []
         for i in range(cfg.replicates):
-            sample = draw_replicate(cfg, i)
-            ys.append(sample.y)
-            xs.append(sample.x)
+            y, x = draw_replicate(cfg, i)
+            ys.append(y)
+            xs.append(x)
         y = np.concatenate(ys)
         x = np.concatenate(xs)
         p = table_params
@@ -232,12 +234,12 @@ class TestBlockKernel:
             params=dataclasses.replace(table_params, n=n), replicates=reps,
             seed=seed, **law)
         samples = [draw_replicate(base, i) for i in range(reps)]
-        ref_y = np.array([sample.y.mean() for sample in samples])
-        ref_x = np.array([sample.x.mean() for sample in samples])
+        ref_y = np.array([y.mean() for y, _ in samples])
+        ref_x = np.array([x.mean() for _, x in samples])
         replayed = [replay_observed(base, i) for i in range(reps)]
-        for sample, (y, x) in zip(samples, replayed):
-            assert np.array_equal(sample.y, y)
-            assert np.array_equal(sample.x, x)
+        for (y, x), (want_y, want_x) in zip(samples, replayed):
+            assert np.array_equal(y, want_y)
+            assert np.array_equal(x, want_x)
         for count in KERNEL_REPLICATES:
             cfg = dataclasses.replace(base, replicates=count)
             ybars, xbars = _replicate_means(cfg)
@@ -295,13 +297,16 @@ class TestRunMonteCarlo:
         assert row.replicates_used == ybars.size
 
     def test_engine_matches_scalar_evaluation(self, config):
-        # the vectorized engine path and the strict scalar evaluator must
-        # produce the same replicate values bit for bit
+        # the blocked engine and the kernel evaluated on the float means of
+        # one replicate at a time must give the same values bit for bit
         cfg = dataclasses.replace(config, replicates=120)
         spec = EXP_RATIO
         (row,) = run_monte_carlo(cfg, [spec])
-        values = [evaluate(spec, draw_replicate(cfg, i), cfg.params.mu_x)
-                  for i in range(cfg.replicates)]
+        values = []
+        for i in range(cfg.replicates):
+            y, x = draw_replicate(cfg, i)
+            values.append(float(evaluate_at_means(
+                spec, float(y.mean()), float(x.mean()), cfg.params.mu_x)))
         deviations = [t - cfg.params.mu_y for t in values]
         assert row.replicates_used == cfg.replicates
         assert row.empirical_bias == math.fsum(deviations) / cfg.replicates
