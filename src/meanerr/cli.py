@@ -17,11 +17,11 @@ Three subcommands share one source-resolution and rendering pipeline:
     empirical bias and MSE next to the first-order theory value with the
     relative gap per row.
 
-Exit codes: 0 success, 1 usage error, 2 data or configuration error
-(including a run too large to allocate and a scenario whose theory
-overflows a float), 3 tolerance failure
-(``simulate --tolerance`` exceeded).  Output is a pure function of the flag
-set.
+Exit codes: 0 success, 1 usage error, 2 any input the program cannot
+evaluate (bad data or configuration, a file that is not UTF-8, a run too
+large to allocate, theory or optimal weights beyond the float range), 3
+tolerance failure (``simulate --tolerance`` exceeded).  Output is a pure
+function of the flag set.
 """
 
 from __future__ import annotations
@@ -38,23 +38,11 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .estimators import Estimator, EvaluationError, ExpBracket, PowerExpBracket
-from .ingest import (
-    ColumnMap,
-    DatasetError,
-    compute_params,
-    load_dataset,
-    preset,
-    preset_names,
-)
-from .moments import ParameterError, PopulationParams, derive_moments
-from .simulate import (
-    AllReplicatesSkippedError,
-    ConfigError,
-    ErrorLaw,
-    SimulationConfig,
-    run_monte_carlo,
-)
+from .estimators import Estimator, ExpBracket, PowerExpBracket
+from .ingest import (ColumnMap, compute_params, load_dataset, preset,
+                     preset_names)
+from .moments import PopulationParams, derive_moments
+from .simulate import ErrorLaw, SimulationConfig, run_monte_carlo
 from . import theory
 
 __all__ = [
@@ -151,18 +139,9 @@ class ReportTable:
 
 def scenario_table(params: PopulationParams, source: str) -> ReportTable:
     """Single-row table of the eight population parameters."""
-    row = {
-        "mu_y": params.mu_y,
-        "mu_x": params.mu_x,
-        "sigma_y2": params.sigma_y2,
-        "sigma_x2": params.sigma_x2,
-        "rho": params.rho,
-        "sigma_u2": params.sigma_u2,
-        "sigma_v2": params.sigma_v2,
-        "n": params.n,
-    }
     return ReportTable(title=f"population parameters ({source})",
-                       columns=_PARAMS_COLUMNS, rows=(row,))
+                       columns=_PARAMS_COLUMNS,
+                       rows=(dataclasses.asdict(params),))
 
 
 class _PlanRow(NamedTuple):
@@ -175,7 +154,8 @@ class _PlanRow(NamedTuple):
     note: str = ""
 
 
-def _optimal_row(label: str, cells: dict, solve, make_spec) -> _PlanRow:
+def _optimal_row(label: str, cells: dict, solve,
+                 bracket: Optional[PowerExpBracket] = None) -> _PlanRow:
     """The row of the optimum ``solve`` returns, or its singularity note."""
     try:
         opt, breakdown = solve()
@@ -184,7 +164,7 @@ def _optimal_row(label: str, cells: dict, solve, make_spec) -> _PlanRow:
     return _PlanRow(label,
                     {**cells, "mean_weight": opt.first,
                      "aux_weight": opt.second},
-                    make_spec(opt.first, opt.second), breakdown)
+                    Estimator(opt.first, opt.second, bracket), breakdown)
 
 
 def _row_plan(params: PopulationParams,
@@ -211,8 +191,7 @@ def _row_plan(params: PopulationParams,
                  Estimator(1.0, slope),
                  theory.mse_regression_diff(m, m_free, mu_y)),
         _optimal_row("weighted_diff_optimal", {},
-                     lambda: theory.min_mse_weighted_diff(m, m_free, mu_y),
-                     Estimator),
+                     lambda: theory.min_mse_weighted_diff(m, m_free, mu_y)),
     ]
     brackets = [PowerExpBracket(float(alpha), float(beta))
                 for alpha, beta in grid]
@@ -225,7 +204,7 @@ def _row_plan(params: PopulationParams,
             "weighted_power_exp_optimal", {"alpha": alpha, "beta": beta},
             lambda: theory.min_mse_weighted_power_exp(m, m_free, mu_y,
                                                       bracket),
-            lambda first, second: Estimator(first, second, bracket)))
+            bracket))
     return plan
 
 
@@ -269,34 +248,29 @@ def simulation_table(config: SimulationConfig,
     says why, and is left out of the worst gap.
     """
     plan = _row_plan(config.params, tuple(grid))
-    # theory_mse comes from each spec inside run_monte_carlo, not from the
-    # breakdowns, whose totals are formed differently (re-summed legs,
-    # rearranged minima)
-    results = iter(run_monte_carlo(
-        config, [entry.spec for entry in plan if entry.spec is not None]))
+    specs = [entry.spec for entry in plan if entry.spec is not None]
+    # theory_mse comes from each spec, not from the breakdowns, whose totals
+    # are formed differently (re-summed legs, rearranged minima); it is taken
+    # before the run, so a theory overflow aborts before any draw
+    predicted = [theory.theory_mse(spec, config.params) for spec in specs]
+    results = zip(run_monte_carlo(config, specs), predicted)
     rows = []
     worst_gap = 0.0
     for entry in plan:
         row = dict.fromkeys(_SIMULATE_COLUMNS)
         row.update(entry.cells, estimator=entry.label, note=entry.note)
         if entry.spec is not None:
-            result = next(results)
+            result, theory_mse = next(results)
             gap = None
-            if result.theory_mse > 0:
-                gap = (abs(result.empirical_mse - result.theory_mse)
-                       / result.theory_mse)
+            if theory_mse > 0:
+                gap = abs(result.empirical_mse - theory_mse) / theory_mse
                 worst_gap = max(worst_gap, gap)
             else:
                 row["note"] = _NON_POSITIVE_GAP_NOTE
-            row.update({
-                "empirical_bias": result.empirical_bias,
-                "empirical_mse": result.empirical_mse,
-                "mc_se_mse": result.mc_se_mse,
-                "theory_mse": result.theory_mse,
-                "relative_gap": gap,
-                "replicates_used": result.replicates_used,
-                "replicates_skipped": result.replicates_skipped,
-            })
+            # the empirical columns carry the result's field names; its
+            # estimator field gives way to the row label
+            row.update(dataclasses.asdict(result), estimator=entry.label,
+                       theory_mse=theory_mse, relative_gap=gap)
         rows.append(row)
     title = (f"monte carlo (n={config.params.n}, "
              f"replicates={config.replicates}, seed={config.seed}, "
@@ -560,7 +534,13 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    Exit 2 follows the exception family, not the raising module: ValueError,
+    ArithmeticError, MemoryError and OSError mark input the program cannot
+    evaluate. TypeError, KeyError, IndexError and AttributeError signal a
+    bug and propagate.
+    """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -570,15 +550,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, DatasetError, ConfigError, EvaluationError,
-            AllReplicatesSkippedError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except OverflowError as exc:
         # finite parameters whose theory leaves the float range, such as
         # mu_y**2 for |mu_y| above about 1.3e154
         detail = exc.args[-1] if exc.args else "out of range"
         print(f"error: numerical overflow: {detail}", file=sys.stderr)
+        return EXIT_DATA
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -1,9 +1,10 @@
-"""Monte Carlo engine verifying the first-order theory.
+"""Monte Carlo engine: empirical bias and MSE of each estimator.
 
 Each replicate draws a fresh bivariate-normal truth sample, contaminates it
 with independent mean-zero errors, and evaluates every requested estimator
-on the observed means. Replicate i draws from its own counter-based Philox
-substream: key = seed, with i in the high counter words (``_substream``).
+on the observed means; the first-order theory is left to the caller.
+Replicate i draws from its own counter-based Philox substream: key = seed,
+with i in the high counter words (``_substream``).
 
 The engine makes one generator per run and resets it to the start of each
 replicate's substream; Philox output depends only on (key, counter), so the
@@ -37,7 +38,6 @@ from .estimators import (
     hazard_free,
 )
 from .moments import PopulationParams
-from .theory import theory_mse
 
 __all__ = [
     "ConfigError",
@@ -63,7 +63,7 @@ class ConfigError(ValueError):
     """Raised for invalid simulation configuration."""
 
 
-class AllReplicatesSkippedError(RuntimeError):
+class AllReplicatesSkippedError(ValueError):
     """Raised when every replicate hit an estimator's domain hazard."""
 
 
@@ -127,7 +127,8 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Empirical moments of one estimator across the used replicates."""
+    """Empirical moments of one estimator across the used replicates; no
+    theory value rides along."""
 
     estimator: Estimator
     empirical_bias: float
@@ -135,7 +136,6 @@ class SimulationResult:
     mc_se_mse: float
     replicates_used: int
     replicates_skipped: int
-    theory_mse: float
 
     @property
     def mc_se_bias(self) -> float:
@@ -249,13 +249,11 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
-                    mu_y: float, mu_x: float, theory: float) -> SimulationResult:
+                    mu_y: float, mu_x: float) -> SimulationResult:
     reps = ybars.size
-    mask = hazard_free(spec, xbars, mu_x)
-    values = np.full(reps, np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values[mask] = evaluate_at_means(spec, ybars[mask], xbars[mask], mu_x)
-    ok = np.isfinite(values)
+        values = evaluate_at_means(spec, ybars, xbars, mu_x)
+    ok = hazard_free(spec, xbars, mu_x) & np.isfinite(values)
     used = int(np.count_nonzero(ok))
     if used == 0:
         raise AllReplicatesSkippedError(
@@ -282,7 +280,6 @@ def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
         mc_se_mse=se_mse,
         replicates_used=used,
         replicates_skipped=reps - used,
-        theory_mse=theory,
     )
 
 
@@ -291,15 +288,10 @@ def run_monte_carlo(config: SimulationConfig,
     """Estimate bias and MSE for each spec over shared replicate draws.
 
     Every estimator sees the same replicate means, so cross-estimator
-    comparisons are paired. ``theory_mse`` on each result is the first-order
-    prediction for ``config.params``.
+    comparisons are paired. The results carry empirical moments only; set
+    ``theory.theory_mse(spec, config.params)`` beside them.
     """
-    specs = list(specs)
-    theories = [theory_mse(spec, config.params) for spec in specs]
     ybars, xbars = _replicate_means(config)
-    return [
-        _aggregate_spec(spec, ybars, xbars, config.params.mu_y,
-                        config.params.mu_x, theory)
-        for spec, theory in zip(specs, theories)
-    ]
-
+    return [_aggregate_spec(spec, ybars, xbars, config.params.mu_y,
+                            config.params.mu_x)
+            for spec in specs]

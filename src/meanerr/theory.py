@@ -135,6 +135,13 @@ def _check_weights(*values: float) -> None:
             raise ValueError(f"weights must be finite, got {v!r}")
 
 
+def _check_optimum(family: str, *values: float) -> None:
+    """OverflowError unless every optimal weight and minimum is finite."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(
+            f"optimal weights of the {family} leave the float range")
+
+
 def mse_weighted_diff(m: MomentSet, mu_y: float,
                       mean_weight: float, aux_weight: float) -> float:
     """Exact MSE of w1 ybar + w2 (mu_x - xbar):
@@ -162,7 +169,8 @@ def optimal_weighted_diff(m: MomentSet, mu_y: float) -> OptimalWeights:
     the rearranged form mu_y^2 (var_ybar var_xbar - cov_yxbar^2) / (b1 b3 -
     b2^2), which is the same quantity without the cancellation of two
     mu_y^2-sized terms. By Cauchy-Schwarz the numerator is non-negative, so
-    the minimum is too.
+    the minimum is too. Raises OverflowError when a weight or the minimum
+    leaves the float range.
     """
     b1 = mu_y**2 + m.var_ybar
     b2 = -m.cov_yxbar
@@ -172,10 +180,12 @@ def optimal_weighted_diff(m: MomentSet, mu_y: float) -> OptimalWeights:
     if abs(den) <= _SINGULAR_RTOL * max(abs(b1 * b3), b2 * b2):
         raise SingularSystemError(
             "normal equations for the weighted difference are singular")
-    return OptimalWeights(
+    opt = OptimalWeights(
         first=b3 * b4 / den,
         second=-b2 * b4 / den,
         min_mse=b4 * (m.var_ybar * b3 - b2 * b2) / den)
+    _check_optimum("weighted difference", opt.first, opt.second, opt.min_mse)
+    return opt
 
 
 def min_mse_weighted_diff(m: MomentSet, m_free: MomentSet, mu_y: float,
@@ -265,7 +275,8 @@ class MseQuadratic:
         equations give first = (c1 aux_sq - cross aux_lin) / (c2 aux_sq -
         cross^2) and second = (c2 aux_lin - c1 cross) / (same denominator).
         When ``positive_definite`` holds, as it does in every benchmark
-        regime, this is the global minimum.
+        regime, this is the global minimum. Raises OverflowError when a
+        weight or the value leaves the float range.
         """
         c1 = mu_y**2 + self.mean_lin
         c2 = mu_y**2 + self.mean_sq
@@ -277,8 +288,11 @@ class MseQuadratic:
                 "singular")
         first = (c1 * self.aux_sq - self.cross * self.aux_lin) / den
         second = (c2 * self.aux_lin - c1 * self.cross) / den
-        return OptimalWeights(first=first, second=second,
-                              min_mse=self.mse(mu_y, first, second))
+        family = "weighted power-exp family"
+        _check_optimum(family, first, second)
+        min_mse = self.mse(mu_y, first, second)
+        _check_optimum(family, min_mse)
+        return OptimalWeights(first=first, second=second, min_mse=min_mse)
 
 
 def mse_quadratic(m: MomentSet, bracket: Bracket) -> MseQuadratic:

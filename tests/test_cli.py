@@ -262,6 +262,12 @@ class TestVarianceProductOutOfRange:
     product overflows (HUGE) or underflows (TINY)."""
 
     HUGE = "Y,X,y,x\n1e100,1e100,1e100,1e100\n3e100,3e100,3e100,3e100\n"
+    # A finite normal-equation determinant, but cov_yxbar * mu_y**2, and so
+    # the optimal auxiliary weight, leaves the float range.
+    HUGE_COV = ("Y,X,y,x\n"
+                "9.9999999999999e+153,0.0,9.9999999999999e+153,0.0\n"
+                "1.00000000000001e+154,2.0,1.00000000000001e+154,2.0\n"
+                "1e+154,1.1,1e+154,1.1\n")
     TINY = ("Y,X,y,x\n1e-150,1e-150,1e-150,1e-150\n"
             "2e-150,3e-150,2e-150,3e-150\n")
     COMMANDS = [["theory"], ["simulate", "--replicates", "100"]]
@@ -284,10 +290,12 @@ class TestVarianceProductOutOfRange:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_finite_optimal_weights_are_data_error(self, capsys,
                                                        tmp_path, command):
-        code, out, err = run_cli(
-            capsys, [*command, "--data", self.write(tmp_path, self.HUGE)])
-        assert (code, out) == (2, "")
-        assert err == "error: Estimator.mean_weight must be finite, got nan\n"
+        for text in (self.HUGE, self.HUGE_COV):
+            code, out, err = run_cli(
+                capsys, [*command, "--data", self.write(tmp_path, text)])
+            assert (code, out) == (2, "")
+            assert err == ("error: numerical overflow: optimal weights of "
+                           "the weighted difference leave the float range\n")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_underflowing_product_runs(self, capsys, tmp_path, command):
@@ -295,6 +303,51 @@ class TestVarianceProductOutOfRange:
             capsys, [*command, "--data", self.write(tmp_path, self.TINY)])
         assert (code, err) == (0, "")
         assert out
+
+
+class TestUnevaluableInput:
+    """Input the program cannot evaluate exits 2 with one ``error:`` line,
+    whichever module or library raised; a bug still propagates."""
+
+    @staticmethod
+    def assert_data_error(capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"Y,X,y,x\n1,2,3,4\n\xff\xfe,2,3,4\n")
+        self.assert_data_error(capsys, ["theory", "--data", str(path)])
+
+    def test_block_too_big_to_index(self, capsys):
+        # one block of 32 replicates holds 32 * 4n doubles, past numpy's
+        # index range at this n, so nothing is allocated
+        self.assert_data_error(
+            capsys, ["simulate", "--preset", PRESET,
+                     "--n", "9007199254740993", "--replicates", "100"])
+
+    def test_reference_mse_underflows(self, capsys, tmp_path):
+        # at this n the mean-per-unit total underflows to 0 while a
+        # power-exp row stays positive
+        path = tmp_path / "tiny.csv"
+        path.write_text(
+            "Y,X,y,x\n9.9999e-151,-1.0,9.9999e-151,-1.0\n"
+            "1.00001e-150,1.0000000002,1.00001e-150,1.0000000002\n",
+            encoding="utf-8")
+        self.assert_data_error(
+            capsys, ["theory", "--data", str(path),
+                     "--n", "100000000000000000000"])
+
+    @pytest.mark.parametrize("bug", [TypeError, KeyError, IndexError,
+                                     AttributeError])
+    def test_bug_propagates(self, monkeypatch, bug):
+        def broken(*args):
+            raise bug("bug")
+        monkeypatch.setattr(cli, "theory_table", broken)
+        with pytest.raises(bug):
+            main(["theory", "--preset", PRESET])
 
 
 class TestUsageAndHelp:

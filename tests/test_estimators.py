@@ -156,8 +156,7 @@ def engine_skips(spec, ybar, xbar, mu_x):
     """Replicates the engine's aggregation skips out of two: one at
     (ybar, xbar) and one clean replicate at xbar = mu_x."""
     result = _aggregate_spec(spec, np.array([ybar, ybar]),
-                             np.array([xbar, mu_x]), mu_y=ybar, mu_x=mu_x,
-                             theory=1.0)
+                             np.array([xbar, mu_x]), mu_y=ybar, mu_x=mu_x)
     assert result.replicates_used + result.replicates_skipped == 2
     return result.replicates_skipped
 

@@ -341,8 +341,9 @@ class TestRunMonteCarlo:
     def test_theory_column_uses_effective_sample_size(self, config):
         params = dataclasses.replace(config.params, n=50)
         cfg = dataclasses.replace(config, params=params)
-        (row,) = run_monte_carlo(cfg, [EXP_RATIO])
-        assert row.theory_mse == theory_mse(EXP_RATIO, params)
+        table, _ = simulation_table(cfg)
+        row = next(r for r in table.rows if r["estimator"] == "exp_ratio")
+        assert row["theory_mse"] == theory_mse(EXP_RATIO, params)
 
     def test_mean_per_unit_matches_exact_theory(self, table_params):
         # the variance formula is exact for ybar, so the empirical MSE is a
@@ -352,7 +353,8 @@ class TestRunMonteCarlo:
                                seed=SEED)
         (row,) = run_monte_carlo(cfg, [Estimator()])
         assert row.replicates_skipped == 0
-        assert abs(row.empirical_mse - row.theory_mse) <= 4.0 * row.mc_se_mse
+        exact = theory_mse(Estimator(), table_params)
+        assert abs(row.empirical_mse - exact) <= 4.0 * row.mc_se_mse
 
     def test_empty_spec_list(self, config):
         assert run_monte_carlo(config, []) == []
@@ -384,7 +386,7 @@ class TestMseVarianceSum:
             size = int(rng.integers(2, 13))
             ybars = mu_y + rng.standard_normal(size) * rng.uniform(0.1, 100.0)
             result = _aggregate_spec(Estimator(), ybars, ybars, mu_y=mu_y,
-                                     mu_x=170.0, theory=1.0)
+                                     mu_x=170.0)
             squares = (ybars - mu_y) * (ybars - mu_y)
             mse = math.fsum(squares) / size
             sq_var = math.fsum((s - mse) ** 2 for s in squares) / (size - 1)
@@ -396,16 +398,14 @@ class TestSimulationResult:
     def test_mc_se_bias_recovers_replicate_variance(self):
         result = SimulationResult(
             estimator=Estimator(), empirical_bias=0.5, empirical_mse=1.0,
-            mc_se_mse=0.1, replicates_used=100, replicates_skipped=0,
-            theory_mse=1.0)
+            mc_se_mse=0.1, replicates_used=100, replicates_skipped=0)
         var = (1.0 - 0.25) * 100 / 99
         assert result.mc_se_bias == pytest.approx(math.sqrt(var / 100))
 
     def test_mc_se_bias_undefined_for_single_replicate(self):
         result = SimulationResult(
             estimator=Estimator(), empirical_bias=0.0, empirical_mse=0.0,
-            mc_se_mse=math.nan, replicates_used=1, replicates_skipped=99,
-            theory_mse=1.0)
+            mc_se_mse=math.nan, replicates_used=1, replicates_skipped=99)
         assert math.isnan(result.mc_se_bias)
 
 
@@ -417,8 +417,7 @@ class TestAllReplicatesSkipped:
         xbars = np.full(5, -170.0)
         ybars = np.ones(5)
         with pytest.raises(AllReplicatesSkippedError):
-            _aggregate_spec(EXP_RATIO, ybars, xbars, mu_y=127.0, mu_x=170.0,
-                            theory=1.0)
+            _aggregate_spec(EXP_RATIO, ybars, xbars, mu_y=127.0, mu_x=170.0)
 
 
 class TestConvergenceSweep:
@@ -442,11 +441,16 @@ class TestConvergenceSweep:
         # is pure Monte Carlo noise (about sqrt(2/replicates) relative)
         cfg = SimulationConfig(params=table_params, replicates=2000, seed=SEED)
         for n in (5, 20, 80):
-            (row,) = run_monte_carlo(self.at_n(cfg, n), [Estimator()])
-            gap = abs(row.empirical_mse - row.theory_mse) / row.theory_mse
+            at_n = self.at_n(cfg, n)
+            (row,) = run_monte_carlo(at_n, [Estimator()])
+            theory = theory_mse(Estimator(), at_n.params)
+            gap = abs(row.empirical_mse - theory) / theory
             assert gap < 0.15, n
 
     def test_theory_column_decreases_in_n(self, config):
-        theories = [run_monte_carlo(self.at_n(config, n), [EXP_RATIO])[0]
-                    .theory_mse for n in (10, 40, 160)]
+        theories = []
+        for n in (10, 40, 160):
+            table, _ = simulation_table(self.at_n(config, n))
+            theories.append(next(r["theory_mse"] for r in table.rows
+                                 if r["estimator"] == "exp_ratio"))
         assert all(a > b for a, b in zip(theories, theories[1:])), theories

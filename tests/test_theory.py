@@ -208,6 +208,19 @@ class TestWeightedDifference:
         with pytest.raises(SingularSystemError):
             optimal_weighted_diff(m, 0.0)
 
+    @pytest.mark.parametrize("var, cov, mu_y", [
+        # b1 b3 and b2^2 both overflow: the determinant is inf - inf = NaN
+        (1e200, 1e200, 1e100),
+        # a finite determinant near 1e308, but cov_yxbar mu_y^2 overflows
+        (1.0, 10.0, 1e154),
+    ], ids=["nan-determinant", "overflowing-weight"])
+    def test_non_finite_optimum_is_overflow(self, var, cov, mu_y):
+        m = MomentSet(var_ybar=cov * cov / var, var_xbar=var, cov_yxbar=cov,
+                      ratio=1.0, cv_y=1.0, cv_x=1.0)
+        with pytest.raises(OverflowError, match="^optimal weights of the "
+                           "weighted difference leave the float range$"):
+            optimal_weighted_diff(m, mu_y)
+
 
 class TestCorrectionCoefficients:
     @pytest.mark.parametrize("alpha,beta,linear,quadratic", [
@@ -400,6 +413,17 @@ class TestWeightedPowerExp:
                             mean_lin=0.0, aux_lin=0.0)
         with pytest.raises(SingularSystemError):
             quad.minimize(0.0)
+
+    @pytest.mark.parametrize("aux_lin", [1e308, 1e200],
+                             ids=["overflowing-weight", "overflowing-minimum"])
+    def test_non_finite_optimum_is_overflow(self, aux_lin):
+        # the determinant is 2; the auxiliary weight is aux_lin, and at
+        # 1e200 its square leaves the float range in the minimum
+        quad = MseQuadratic(mean_sq=1.0, aux_sq=1.0, cross=0.0,
+                            mean_lin=0.0, aux_lin=aux_lin)
+        with pytest.raises(OverflowError, match="^optimal weights of the "
+                           "weighted power-exp family leave the float range$"):
+            quad.minimize(1.0)
 
     def test_mse_helper_matches_quadratic(self, table_params):
         m = derive_moments(table_params)
