@@ -34,10 +34,15 @@ CASES = {
     "theory-data": ["theory", *_DATA],
     "simulate-data": ["simulate", *_DATA, *_MONTE_CARLO],
 }
+# Enough replicates at n = 10 for two full engine blocks and one row more.
+_BLOCKS = ["--n", "10", "--replicates", "1281", "--seed", "7"]
+_LAWS = {"gaussian": [], "uniform": ["--error-law", "uniform"],
+         "student-t": ["--error-law", "student-t", "--error-df", "6"]}
 # Cases kept in csv only, whose full precision carries every number the
 # other formats print: the non-Gaussian error laws, and a grid with a
-# negative alpha, a non-positive row and the B = 0 bracket; and theory at
-# n = 2 and n = 2000 from the preset and from the dataset.
+# negative alpha, a non-positive row and the B = 0 bracket; theory at
+# n = 2 and n = 2000 from the preset and from the dataset; and each error
+# law over replicates that cross engine block boundaries.
 CSV_CASES = {
     "simulate-preset-uniform": ["simulate", *_PRESET, *_MONTE_CARLO,
                                 "--error-law", "uniform"],
@@ -50,6 +55,8 @@ CSV_CASES = {
                                 *_EDGE_GRID]
        for label, source in (("preset", _PRESET), ("data", _UNITS))
        for n in (2, 2000)},
+    **{f"simulate-blocks-{law}": ["simulate", *_PRESET, *_BLOCKS, *flags]
+       for law, flags in _LAWS.items()},
 }
 RUNS = ([(case, fmt) for case in sorted(CASES) for fmt in FORMATS]
         + [(case, "csv") for case in sorted(CSV_CASES)])
