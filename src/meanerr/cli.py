@@ -268,8 +268,9 @@ def simulation_table(config: SimulationConfig,
             else:
                 row["note"] = _NON_POSITIVE_GAP_NOTE
             # the empirical columns carry the result's field names; its
-            # estimator field gives way to the row label
-            row.update(dataclasses.asdict(result), estimator=entry.label,
+            # estimator field gives way to the row label. vars() copies the
+            # fields shallowly, where asdict would deep-copy the estimator
+            row.update(vars(result), estimator=entry.label,
                        theory_mse=theory_mse, relative_gap=gap)
         rows.append(row)
     title = (f"monte carlo (n={config.params.n}, "

@@ -7,14 +7,16 @@ Replicate i draws from its own counter-based Philox substream: key = seed,
 with i in the high counter words (``_substream``).
 
 The engine makes one generator per run and resets it to the start of each
-replicate's substream; Philox output depends only on (key, counter), so the
-variates are exactly those of a fresh substream. Replicates are drawn in
-blocks of ``_BLOCK`` rows, and the observed values and their means are
-computed over the whole block in the per-replicate operation order, so the
-means equal those of drawing one replicate at a time bit for bit:
-``draw_replicate`` is a one-row call of the same kernel and returns that
-replicate's observed ``(y, x)`` arrays. All aggregation uses exact
-summation, so results are bit-identical for any order of the replicates.
+replicate's substream by setting the counter word of one reused state;
+Philox output depends only on (key, counter), so the variates are exactly
+those of a fresh substream. Replicates are drawn in blocks of about
+``_BLOCK_VALUES`` doubles (32 rows at n = 200, 640 at n = 10), and the
+observed values and their means are computed in place over the whole block
+in the per-replicate operation order, so the means equal those of drawing
+one replicate at a time bit for bit: ``draw_replicate`` is a one-row call
+of the same kernel and returns that replicate's observed ``(y, x)`` arrays.
+All aggregation uses exact summation, so results are bit-identical for any
+order of the replicates.
 
 Replicates where an estimator lands in its domain hazard (or overflows) are
 excluded from that estimator's averages and surfaced through
@@ -52,10 +54,13 @@ __all__ = [
 _MAX_SEED = 2**64
 # Largest run whose two float64 arrays of replicate means numpy can index.
 _MAX_REPLICATES = np.iinfo(np.intp).max // 8
-# Replicates drawn per block. A block holds 4n doubles per replicate, and
-# its temporaries as much again: at n = 200, peak memory rose 0.5 MiB at 64
-# and 3.6 MiB at 256 over 32, with no speed-up beyond run-to-run noise.
-_BLOCK = 32
+# Doubles drawn per block, 4n per replicate: 32 replicates at n = 200, 640
+# at n = 10, and one at any n above 6400. Up to n = 6400 the block, its
+# contiguous copy and one temporary take about 0.5 MiB; the traced peak of
+# a 1500-replicate run is 0.66 MiB at n = 10 and at n = 200 (0.05 and 0.51
+# MiB with blocks of 32 rows). Blocks of 8 * 800 and 128 * 800 doubles were
+# no faster at n = 10 (Student-t) or at n = 200 (Gaussian).
+_BLOCK_VALUES = 32 * 800
 _NON_FINITE_SAMPLE = "sample values must be finite"
 
 
@@ -158,26 +163,16 @@ def _substream(seed: int, replicate_index: int) -> np.random.Generator:
         np.random.Philox(key=seed, counter=replicate_index << 128))
 
 
-def _standardized_errors(rng: np.random.Generator, config: SimulationConfig,
-                         size: int) -> np.ndarray:
-    if config.error_law is ErrorLaw.GAUSSIAN:
-        return rng.standard_normal(size)
-    if config.error_law is ErrorLaw.UNIFORM:
-        bound = math.sqrt(3.0)
-        return rng.uniform(-bound, bound, size)
-    df = float(config.error_df)
-    return rng.standard_t(df, size) * math.sqrt((df - 2.0) / df)
-
-
-def _seek_substream(bit_generator: np.random.Philox, seed: int,
-                    replicate_index: int) -> None:
-    """Reset ``bit_generator`` to the state ``_substream(seed,
-    replicate_index)`` starts from: key = seed, counter = index << 128, and
-    an empty output buffer. Philox is counter-based, so the variates that
-    follow are exactly those of the fresh substream."""
-    bit_generator.state = {
+def _substream_state(seed: int) -> dict:
+    """The state ``_substream(seed, 0)`` starts from: key = seed, counter 0
+    and an empty output buffer. Set ``["state"]["counter"][2]`` to a
+    replicate index and assign the dict to a Philox bit generator's
+    ``state`` to reset it to that replicate's substream; Philox is
+    counter-based, so the variates that follow are exactly those of the
+    fresh substream."""
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, replicate_index, 0], "key": [seed, 0]},
+        "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -185,31 +180,82 @@ def _seek_substream(bit_generator: np.random.Philox, seed: int,
     }
 
 
+def _row_filler(config: SimulationConfig, rng: np.random.Generator):
+    """The error-law dispatch: ``(fill, error_scale)``.
+
+    ``fill(row)`` draws one replicate's 4n variates from ``rng`` into
+    ``row``: 2n standard normals for the truth pair, then 2n error-law
+    variates, study block first. Multiplying the error columns by
+    ``error_scale`` gives them unit variance.
+    """
+    half = 2 * config.params.n
+    normal = rng.standard_normal
+    if config.error_law is ErrorLaw.GAUSSIAN:
+        # the error normals are the next 2n draws of the same substream
+        def fill(row):
+            normal(out=row)
+        return fill, 1.0
+    if config.error_law is ErrorLaw.UNIFORM:
+        bound = math.sqrt(3.0)
+
+        def fill(row):
+            normal(out=row[:half])
+            row[half:] = rng.uniform(-bound, bound, half)
+        return fill, 1.0
+    df = float(config.error_df)
+
+    def fill(row):
+        normal(out=row[:half])
+        row[half:] = rng.standard_t(df, half)
+    return fill, math.sqrt((df - 2.0) / df)
+
+
+def _block_rows(n: int) -> int:
+    """Replicates per block at sample size ``n``."""
+    return max(1, _BLOCK_VALUES // (4 * n))
+
+
 def _observed_block(config: SimulationConfig, rng: np.random.Generator,
                     start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Observed (y, x) of replicates ``start`` to ``stop - 1``, one row each.
 
     Each row is drawn from its replicate's substream (``rng`` is reset
-    there first): 2n standard normals for the truth pair, then 2n error-law
-    variates, study block first. The arithmetic then runs over the whole
-    block in the per-replicate operation order, so every value equals the
-    one a single-replicate draw gives.
+    there first) by ``_row_filler``. The arithmetic then runs in place over
+    the whole block in the per-replicate operation order (IEEE ``+`` and
+    ``*`` commute, so ``z * s + mu`` is ``mu + s * z``), and every value
+    equals the one a single-replicate draw gives.
     """
     p = config.params
     n = p.n
+    fill, error_scale = _row_filler(config, rng)
+    state = _substream_state(config.seed)
+    counter = state["state"]["counter"]
+    bit_generator = rng.bit_generator
     block = np.empty((stop - start, 4 * n))
     for row, index in zip(block, range(start, stop)):
-        _seek_substream(rng.bit_generator, config.seed, index)
-        rng.standard_normal(out=row[:2 * n])
-        row[2 * n:] = _standardized_errors(rng, config, 2 * n)
+        counter[2] = index
+        bit_generator.state = state
+        fill(row)
 
-    z1, z2 = block[:, :n], block[:, n:2 * n]
-    y = p.mu_y + math.sqrt(p.sigma_y2) * z1
-    x = p.mu_x + math.sqrt(p.sigma_x2) * (
-        p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * z2)
-    y += math.sqrt(p.sigma_u2) * block[:, 2 * n:3 * n]
-    x += math.sqrt(p.sigma_v2) * block[:, 3 * n:]
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+    # the four column groups z1, z2, u, v, each made contiguous, so that
+    # the arithmetic below runs in place without strided passes
+    groups = np.ascontiguousarray(block.reshape(-1, 4, n).transpose(1, 0, 2))
+    y, x, u, v = groups
+    groups[2:] *= error_scale
+    u *= math.sqrt(p.sigma_u2)
+    v *= math.sqrt(p.sigma_v2)
+    # x = mu_x + sigma_x (rho z1 + sqrt(1 - rho^2) z2) + sigma_v v, from
+    # z2 in x's place; z1 is read before y's place is overwritten
+    x *= math.sqrt(1.0 - p.rho * p.rho)
+    x += p.rho * y
+    x *= math.sqrt(p.sigma_x2)
+    x += p.mu_x
+    x += v
+    # y = mu_y + sigma_y z1 + sigma_u u
+    y *= math.sqrt(p.sigma_y2)
+    y += p.mu_y
+    y += u
+    if not np.isfinite(groups[:2]).all():
         raise EvaluationError(_NON_FINITE_SAMPLE)
     return y, x
 
@@ -240,11 +286,12 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     xbars = np.empty(reps)
     # one generator for the run; _observed_block seeks it per replicate
     rng = _substream(config.seed, 0)
-    for start in range(0, reps, _BLOCK):
-        stop = min(start + _BLOCK, reps)
+    rows = _block_rows(config.params.n)
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
         y, x = _observed_block(config, rng, start, stop)
-        ybars[start:stop] = y.mean(axis=1)
-        xbars[start:stop] = x.mean(axis=1)
+        y.mean(axis=1, out=ybars[start:stop])
+        x.mean(axis=1, out=xbars[start:stop])
     return ybars, xbars
 
 
@@ -260,19 +307,31 @@ def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
             f"all {reps} replicates hit the domain hazard of {spec!r}")
 
     deviations = values[ok] - mu_y
-    squares = deviations * deviations
-    # math.fsum is exactly rounded, hence independent of summation order
-    bias = math.fsum(deviations.tolist()) / used
-    mse = math.fsum(squares.tolist()) / used
-    if used >= 2:
-        # float_power squares through libm pow, as the scalar ``** 2`` of a
-        # numpy float does; ``** 2`` on the array and np.square multiply
-        # instead and can round the last bit differently
-        sq_var = math.fsum(
-            np.float_power(squares - mse, 2.0).tolist()) / (used - 1)
-        se_mse = math.sqrt(sq_var / used)
-    else:
-        se_mse = math.nan
+    # finite values far from mu_y can square past the float range: that
+    # raises one OverflowError below, and numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = deviations * deviations
+        try:
+            # math.fsum is exactly rounded, hence independent of summation
+            # order; it raises OverflowError when finite terms sum past the
+            # float range
+            bias = math.fsum(deviations.tolist()) / used
+            mse = math.fsum(squares.tolist()) / used
+            se_mse = math.nan
+            if used >= 2:
+                # float_power squares through libm pow, as the scalar ``** 2``
+                # of a numpy float does; ``** 2`` on the array and np.square
+                # multiply instead and can round the last bit differently
+                sq_var = math.fsum(
+                    np.float_power(squares - mse, 2.0).tolist()) / (used - 1)
+                se_mse = math.sqrt(sq_var / used)
+            finite = (math.isfinite(bias) and math.isfinite(mse)
+                      and (used < 2 or math.isfinite(se_mse)))
+        except OverflowError:
+            finite = False
+    if not finite:
+        raise OverflowError(
+            f"Monte Carlo moments of {spec!r} leave the float range")
     return SimulationResult(
         estimator=spec,
         empirical_bias=bias,

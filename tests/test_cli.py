@@ -322,8 +322,8 @@ class TestUnevaluableInput:
         self.assert_data_error(capsys, ["theory", "--data", str(path)])
 
     def test_block_too_big_to_index(self, capsys):
-        # one block of 32 replicates holds 32 * 4n doubles, past numpy's
-        # index range at this n, so nothing is allocated
+        # a block holds at least one replicate's 4n doubles, 288 PB at this
+        # n, which cannot be allocated, so nothing is drawn
         self.assert_data_error(
             capsys, ["simulate", "--preset", PRESET,
                      "--n", "9007199254740993", "--replicates", "100"])
@@ -339,6 +339,22 @@ class TestUnevaluableInput:
         self.assert_data_error(
             capsys, ["theory", "--data", str(path),
                      "--n", "100000000000000000000"])
+
+    # at n = 2 the power-exp bracket exp(beta (mu_x - xbar) / ...) reaches
+    # finite values whose squares (grid 1,1400) or whose squared deviations
+    # from the MSE (grid 1,700, the SE sum alone) leave the float range
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    @pytest.mark.parametrize("grid", ["--grid=1,1400", "--grid=1,700"])
+    def test_monte_carlo_overflow(self, capsys, grid, fmt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, ["simulate", "--preset", PRESET, "--n", "2", grid,
+                         "--replicates", "1000", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: numerical overflow: Monte Carlo "
+                              "moments of Estimator(")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("bug", [TypeError, KeyError, IndexError,
                                      AttributeError])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from meanerr.simulate import (
     ErrorLaw,
     SimulationConfig,
     SimulationResult,
-    _BLOCK,
     _aggregate_spec,
+    _block_rows,
     _replicate_means,
-    _seek_substream,
-    _standardized_errors,
+    _row_filler,
     _substream,
+    _substream_state,
     draw_replicate,
     run_monte_carlo,
 )
@@ -191,10 +192,17 @@ def replay_observed(config, index):
     return y, x
 
 
-# replicate counts around block boundaries; a config needs >= 100
-_FULL_BLOCKS = -(-100 // _BLOCK)
-KERNEL_REPLICATES = (100, _FULL_BLOCKS * _BLOCK - 1, _FULL_BLOCKS * _BLOCK,
-                     _FULL_BLOCKS * _BLOCK + 1, 1001)
+def kernel_replicates(n):
+    """Replicate counts around a block boundary at sample size ``n``; a
+    config needs >= 100."""
+    rows = _block_rows(n)
+    boundary = -(-100 // rows) * rows
+    return (100, boundary - 1, boundary, boundary + 1, 1001)
+
+
+# the first block boundaries at the benchmark's n = 200 and the paper's n = 10
+SEEK_INDICES = (0, 1, _block_rows(200) - 1, _block_rows(200),
+                _block_rows(10) - 1, _block_rows(10), 2**64 - 1)
 KERNEL_SEEDS = (0, 2**63 + 5, 2**64 - 1)
 KERNEL_LAWS = (
     dict(error_law=ErrorLaw.GAUSSIAN),
@@ -207,11 +215,13 @@ class TestBlockKernel:
     """The blocked engine against one-replicate-at-a-time references."""
 
     @pytest.mark.parametrize("seed", KERNEL_SEEDS)
-    @pytest.mark.parametrize("index", [0, 1, _BLOCK - 1, _BLOCK, 2**64 - 1])
+    @pytest.mark.parametrize("index", SEEK_INDICES)
     def test_seek_matches_fresh_substream(self, seed, index):
         rng = _substream(seed, 12345)
         rng.standard_normal(7)  # leave the buffer and counter mid-stream
-        _seek_substream(rng.bit_generator, seed, index)
+        state = _substream_state(seed)
+        state["state"]["counter"][2] = index
+        rng.bit_generator.state = state
         got = rng.bit_generator.state
         want = _substream(seed, index).bit_generator.state
         assert got.keys() == want.keys()
@@ -229,7 +239,8 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [2, 10, 200])
     def test_means_match_per_replicate_draws(self, table_params, n, seed,
                                              law):
-        reps = max(KERNEL_REPLICATES)
+        counts = kernel_replicates(n)
+        reps = max(counts)
         base = SimulationConfig(
             params=dataclasses.replace(table_params, n=n), replicates=reps,
             seed=seed, **law)
@@ -240,24 +251,40 @@ class TestBlockKernel:
         for (y, x), (want_y, want_x) in zip(samples, replayed):
             assert np.array_equal(y, want_y)
             assert np.array_equal(x, want_x)
-        for count in KERNEL_REPLICATES:
+        for count in counts:
             cfg = dataclasses.replace(base, replicates=count)
             ybars, xbars = _replicate_means(cfg)
             assert np.array_equal(ybars, ref_y[:count])
             assert np.array_equal(xbars, ref_x[:count])
 
     def test_non_finite_sample_raises(self, config, monkeypatch):
-        def poisoned(rng, cfg, size):
-            e = rng.standard_normal(size)
-            e[-1] = np.nan
-            return e
+        def poisoned(cfg, rng):
+            fill, error_scale = _row_filler(cfg, rng)
 
-        monkeypatch.setattr(simulate, "_standardized_errors", poisoned)
+            def poisoned_fill(row):
+                fill(row)
+                row[-1] = np.nan
+            return poisoned_fill, error_scale
+
+        monkeypatch.setattr(simulate, "_row_filler", poisoned)
         message = "sample values must be finite"
-        with pytest.raises(EvaluationError, match=message):
-            run_monte_carlo(config, [Estimator()])
-        with pytest.raises(EvaluationError, match=message):
-            draw_replicate(config, 0)
+        for law in KERNEL_LAWS:
+            cfg = dataclasses.replace(config, **law)
+            with pytest.raises(EvaluationError, match=message):
+                run_monte_carlo(cfg, [Estimator()])
+            with pytest.raises(EvaluationError, match=message):
+                draw_replicate(cfg, 0)
+
+
+def standardized_errors(config, size):
+    """``size`` error variates of substream 0, drawn by the engine's row
+    filler and standardized as the engine standardizes them."""
+    cfg = dataclasses.replace(
+        config, params=dataclasses.replace(config.params, n=size // 2))
+    fill, error_scale = _row_filler(cfg, _substream(cfg.seed, 0))
+    row = np.empty(2 * size)
+    fill(row)
+    return row[size:] * error_scale
 
 
 class TestErrorLaws:
@@ -269,15 +296,14 @@ class TestErrorLaws:
     def test_standardized_to_unit_variance(self, table_params, law, df):
         cfg = SimulationConfig(params=table_params, replicates=100, seed=SEED,
                                error_law=law, error_df=df)
-        rng = _substream(SEED, 0)
-        e = _standardized_errors(rng, cfg, 10**6)
+        e = standardized_errors(cfg, 10**6)
         assert e.mean() == pytest.approx(0.0, abs=0.01)
         assert e.var() == pytest.approx(1.0, abs=0.02)
 
     def test_uniform_support_bound(self, table_params):
         cfg = SimulationConfig(params=table_params, replicates=100, seed=SEED,
                                error_law=ErrorLaw.UNIFORM)
-        e = _standardized_errors(_substream(SEED, 0), cfg, 10**5)
+        e = standardized_errors(cfg, 10**5)
         assert np.abs(e).max() <= math.sqrt(3.0)
 
 
@@ -407,6 +433,23 @@ class TestSimulationResult:
             estimator=Estimator(), empirical_bias=0.0, empirical_mse=0.0,
             mc_se_mse=math.nan, replicates_used=1, replicates_skipped=99)
         assert math.isnan(result.mc_se_bias)
+
+
+class TestMomentOverflow:
+    """Finite estimator values whose moments leave the float range raise
+    one OverflowError naming the spec, with no numpy warning."""
+
+    @pytest.mark.parametrize("ybars", [
+        np.array([1e154, 1e154, 1e154, 1e154]),   # fsum of finite squares
+        np.array([1e200, -1e200, 1.0, 2.0]),      # the squares themselves
+        np.array([1e100, -1e100, 1e80, 2.0]),     # the SE sum alone
+    ], ids=["sum", "square", "se"])
+    def test_overflow_names_spec(self, ybars):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"Estimator\("):
+                _aggregate_spec(Estimator(), ybars, np.full(4, 170.0),
+                                mu_y=0.0, mu_x=170.0)
 
 
 class TestAllReplicatesSkipped:
