@@ -322,7 +322,7 @@ class TestUnevaluableInput:
         self.assert_data_error(capsys, ["theory", "--data", str(path)])
 
     def test_block_too_big_to_index(self, capsys):
-        # a block holds at least one replicate's 4n doubles, 288 PB at this
+        # a block holds at least one replicate's 4n doubles, 256 PiB at this
         # n, which cannot be allocated, so nothing is drawn
         self.assert_data_error(
             capsys, ["simulate", "--preset", PRESET,
