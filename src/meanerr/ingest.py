@@ -17,9 +17,7 @@ pinned by the test fixtures.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -124,7 +122,11 @@ def load_dataset(source: Union[str, os.PathLike, Iterable[str]],
 
     ``source`` is a path or an open text stream. Row numbers in error
     messages are 1-based data rows (the header is row 0). Columns beyond the
-    mapped four are ignored.
+    mapped four are ignored. The data lines are parsed in one ``np.loadtxt``
+    pass unless they hold a quote (or a \\x1c-\\x1f separator), or the
+    pass fails or meets a non-finite value; then they are re-read cell by
+    cell with the csv module, which gives the same numbers or names the
+    first bad cell.
     """
     columns = columns or ColumnMap()
     if isinstance(source, (str, os.PathLike)):
@@ -136,8 +138,11 @@ def load_dataset(source: Union[str, os.PathLike, Iterable[str]],
 
 def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
                  name: str) -> MeasuredDataset:
-    reader = csv.reader(stream, delimiter=delimiter)
-    header = next(reader, None)
+    """Read the header with csv.reader, then the four wanted columns: in
+    one C pass (``_load_numbers``) where it can, else by the per-cell csv
+    re-read, the one path that names the first bad row and cell."""
+    lines = iter(stream)
+    header = next(csv.reader(lines, delimiter=delimiter), None)
     if header is None:
         raise DatasetError("input is empty; a header row is required")
     wanted = (columns.true_study, columns.true_aux,
@@ -150,18 +155,11 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
     position = {column: i for i, column in enumerate(header)}
     indices = [position[column] for column in wanted]
 
-    # blank lines are skipped and do not count as rows
-    records = list(filter(None, reader))
-    try:
-        cells = itertools.chain.from_iterable(
-            map(operator.itemgetter(*indices), records))
-        values = np.fromiter(map(float, cells), dtype=np.float64,
-                             count=4 * len(records)).reshape(-1, 4)
-        valid = bool(np.isfinite(values).all())
-    except (IndexError, ValueError):
-        valid = False
-    if not valid:
-        # re-read row by row, which names the first bad row and cell
+    body = list(lines)
+    values = _load_numbers(body, indices, delimiter)
+    if values is None:
+        # blank lines are skipped and do not count as rows
+        records = filter(None, csv.reader(body, delimiter=delimiter))
         values = np.array(
             [[_parse_cell(record[i] if i < len(record) else None,
                           row_number, column)
@@ -171,9 +169,33 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
     return MeasuredDataset(*values.T, name=name)
 
 
-def _var_n(values: np.ndarray) -> float:
-    # divisor-N variance, the convention used throughout this module
-    return float(np.var(values))
+# Characters on which np.loadtxt reads a line differently from csv.reader:
+# a quote, which csv uses to join a cell across delimiters, and the
+# separators \x1c-\x1f, which loadtxt strips from around a number and
+# float() does not.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
+def _load_numbers(body: list[str], indices: list[int],
+                  delimiter: str) -> Optional[np.ndarray]:
+    """The (rows, 4) columns ``indices`` of the data lines ``body`` from one
+    ``np.loadtxt`` pass, or None where only the csv re-read can read them.
+
+    Without a ``_CSV_ONLY`` character, loadtxt splits each line into the
+    cells csv.reader does, skips the same (empty) lines and parses a cell
+    to the float that float() does, or fails. None is returned on failure,
+    on a non-finite value, and on a body with no non-empty line, on which
+    loadtxt would warn.
+    """
+    text = "".join(body)
+    if any(char in text for char in _CSV_ONLY) or not text.strip("\r\n"):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=delimiter, usecols=indices,
+                            comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def compute_params(ds: MeasuredDataset, n_for_theory: int) -> PopulationParams:
@@ -185,16 +207,21 @@ def compute_params(ds: MeasuredDataset, n_for_theory: int) -> PopulationParams:
     size the theory should be evaluated at; it is independent of the number
     of dataset rows.
     """
-    # a moment beyond the float range comes out infinite, which
-    # PopulationParams rejects; numpy need not warn about it first
+    # one contiguous row per column: an axis-1 reduction sums each row
+    # pairwise, as np.mean and np.var sum a 1-D array, so every moment has
+    # the bits of the per-column calls. A moment beyond the float range
+    # comes out infinite, which PopulationParams rejects; numpy need not
+    # warn about it first.
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_y = float(ds.true_study.mean())
-        mu_x = float(ds.true_aux.mean())
-        var_y = _var_n(ds.true_study)
-        var_x = _var_n(ds.true_aux)
-        cov = float(np.mean((ds.true_study - mu_y) * (ds.true_aux - mu_x)))
-        var_u = _var_n(ds.observed_study - ds.true_study)
-        var_v = _var_n(ds.observed_aux - ds.true_aux)
+        table = np.stack([ds.true_study, ds.true_aux,
+                          ds.observed_study - ds.true_study,
+                          ds.observed_aux - ds.true_aux])
+        means = table.mean(axis=1, keepdims=True)
+        deviations = table - means
+        var_y, var_x, var_u, var_v = (
+            (deviations * deviations).mean(axis=1).tolist())
+        cov = float((deviations[0] * deviations[1]).mean())
+    mu_y, mu_x = means[:2, 0].tolist()
     if var_y == 0.0 or var_x == 0.0:
         raise DatasetError(
             "a true column is constant; correlation is undefined")

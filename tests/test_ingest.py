@@ -4,10 +4,13 @@ import csv
 import io
 import math
 import random
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from meanerr import ingest
 from meanerr.ingest import (
     ColumnMap,
     DatasetError,
@@ -221,8 +224,36 @@ def load_outcome(read, text, delimiter):
         return "error", str(exc)
 
 
+def clean_table(rng):
+    """Delimited text of numbers only that the one-pass reader must take:
+    LF, CRLF or CR endings, blank lines, extra and repeated columns, a comma
+    or tab delimiter and whitespace around cells."""
+    delimiter = rng.choice(",\t")
+    names = ["Y", "X", "y", "x"]
+    names += rng.choices(["Y", "X", "y", "x", "id", "w"], k=rng.randint(0, 3))
+    rng.shuffle(names)
+    pads = (" ", "\t") if delimiter == "," else (" ",)
+    lines = [delimiter.join(names)]
+    for _ in range(rng.randint(2, 9)):
+        if rng.random() < 0.15:
+            lines.append("")
+        cells = []
+        for _ in names:
+            cell = rng.choice((
+                repr(rng.uniform(-1e3, 1e3)), str(rng.randint(-999, 999)),
+                f"{rng.gauss(0.0, 1.0):.6e}",
+                repr(rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-300, 300))))
+            if rng.random() < 0.1:
+                cell = rng.choice(pads) + cell + rng.choice(pads)
+            cells.append(cell)
+        lines.append(delimiter.join(cells))
+    end = rng.choice(("\n", "\r\n", "\r"))
+    return end.join(lines) + rng.choice((end, "")), delimiter
+
+
 class TestReaderMatchesDictReader:
-    """The one-pass reader against the old ``csv.DictReader`` loop."""
+    """The reader, given a stream, against the old ``csv.DictReader``
+    loop."""
 
     @staticmethod
     def loader(text, delimiter):
@@ -245,6 +276,19 @@ class TestReaderMatchesDictReader:
         # both outcomes are exercised, so neither path is compared vacuously
         assert 0.2 < kinds.count("rows") / len(kinds) < 0.8
 
+    def test_clean_tables_take_the_one_pass_reader(self, monkeypatch):
+        # with the per-cell re-read disabled, every clean table still loads
+        def no_cell_reads(*args):
+            raise AssertionError("the per-cell csv re-read ran")
+
+        monkeypatch.setattr(ingest, "_parse_cell", no_cell_reads)
+        rng = random.Random(20261020)
+        for _ in range(1000):
+            text, delimiter = clean_table(rng)
+            got = load_outcome(self.loader, text, delimiter)
+            assert got[0] == "rows", text
+            assert got == load_outcome(self.reference, text, delimiter), text
+
     @pytest.mark.parametrize("text", [
         "Y,X,y,x\n1e308,1e308,1e308,1e308\n1,2,3,4\n",
         "Y,X,Y,y,x\n1,2,3,4,5\n6,7\n",
@@ -257,6 +301,16 @@ class TestReaderMatchesDictReader:
         # within a row, the first bad cell is named
         "Y,X,y,x\n1,2,3,4\n5,inf,abc,8\n",
         "Y,X,y,x\n1,2,3,4\n \n5,6,7,8\n",
+        # loadtxt strips the separators \x1c-\x1f from a number, float()
+        # does not
+        "Y,X,y,x\n1,2,3,4\x1f\n5,6,7,8\n",
+        "Y,X,y,x\n1,2,3,4\n\x1c5,6,7,8\n",
+        # a line of whitespace is a row, not a blank line
+        "Y,X,y,x\n1,2,3,4\n\x0c\n5,6,7,8\n",
+        "Y,X,y,x\n1,2,3,4\r5,6,7,8\r\r",
+        "Y,X,y,x\n1,2,3,4\n1_0,2,3,4\n",
+        "Y,X,y,x\n\n\r\n",
+        "Y,X,y,x\n1,2,3,4\n\n",
     ])
     def test_edge_cases(self, text):
         assert (load_outcome(self.loader, text, ",")
@@ -266,8 +320,102 @@ class TestReaderMatchesDictReader:
         text = "Y,X,y,x\n1e308,1e308,1e308,1e308\n1,2,3,4\n"
         assert self.loader(text, ",") == [(1e308,) * 4, (1.0, 2.0, 3.0, 4.0)]
 
+    def test_quoted_cell_is_read_by_csv(self):
+        # loadtxt without quote handling splits "1,5" in two and shifts the
+        # later cells one column left
+        text = 'Y,id,w,X,y,x\n1,"1,5",7,2,3,4\n5,6,7,8,9,10\n'
+        body = text.splitlines(keepends=True)[1:]
+        shifted = np.loadtxt(body, delimiter=",", usecols=[0, 3, 4, 5],
+                             comments=None, quotechar=None, ndmin=2)
+        assert shifted[0].tolist() == [1.0, 7.0, 2.0, 3.0]
+        assert self.loader(text, ",") == [(1.0, 2.0, 3.0, 4.0),
+                                          (5.0, 8.0, 9.0, 10.0)]
+
+    @pytest.mark.parametrize("text,rows", [
+        ("Y,X,y,x\n", 0), ("Y,X,y,x", 0), ("Y,X,y,x\r\n\r\n\r\n", 0),
+        ("Y,X,y,x\n1,2,3,4\n", 1), ("Y,X,y,x\n\n1,2,3,4", 1),
+    ])
+    def test_too_few_rows_warn_nothing(self, text, rows):
+        # loadtxt warns "input contained no data" on an empty body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError,
+                               match=f"^dataset needs at least 2 rows, "
+                                     f"got {rows}$"):
+                self.loader(text, ",")
+
+    def test_tab_file_with_an_empty_cell(self):
+        with pytest.raises(DatasetError,
+                           match=r"^row 1, column 'X': missing value$"):
+            self.loader("Y\tX\ty\tx\n1\t\t3\t4\n5\t6\t7\t8\n", "\t")
+
+
+class TestPathReaderMatchesDictReader(TestReaderMatchesDictReader):
+    """The same cases, with the text written to a file and read by path."""
+
+    @pytest.fixture(autouse=True)
+    def _path(self, tmp_path):
+        self.path = tmp_path / "table.csv"
+
+    def loader(self, text, delimiter):
+        self.path.write_text(text, encoding="utf-8", newline="")
+        ds = load_dataset(self.path, delimiter=delimiter)
+        return list(zip(*columns(ds).tolist()))
+
+
+def per_column_params(ds, n_for_theory):
+    """``compute_params`` as once written, one numpy call per moment."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu_y = float(ds.true_study.mean())
+        mu_x = float(ds.true_aux.mean())
+        var_y = float(np.var(ds.true_study))
+        var_x = float(np.var(ds.true_aux))
+        cov = float(np.mean((ds.true_study - mu_y) * (ds.true_aux - mu_x)))
+        var_u = float(np.var(ds.observed_study - ds.true_study))
+        var_v = float(np.var(ds.observed_aux - ds.true_aux))
+    if var_y == 0.0 or var_x == 0.0:
+        raise DatasetError(
+            "a true column is constant; correlation is undefined")
+    product = var_y * var_x
+    if sys.float_info.min <= product <= sys.float_info.max:
+        scale = math.sqrt(product)
+    else:
+        scale = math.sqrt(var_y) * math.sqrt(var_x)
+    rho = float(np.clip(cov / scale, -1.0, 1.0))
+    return PopulationParams(n=n_for_theory, mu_y=mu_y, mu_x=mu_x,
+                            sigma_y2=var_y, sigma_x2=var_x, rho=rho,
+                            sigma_u2=var_u, sigma_v2=var_v)
+
+
+def params_outcome(compute, ds):
+    try:
+        return "params", tuple(map(repr, vars(compute(ds, 10)).values()))
+    except ValueError as exc:
+        return "error", type(exc).__name__, str(exc)
+
 
 class TestComputeParams:
+    def test_matches_the_per_column_moments(self):
+        # the same bits or the same error, from 1e-150 to 1e150 and past
+        # the range where a variance overflows
+        rng = np.random.default_rng(20261021)
+        kinds = []
+        for trial in range(1500):
+            size = int(rng.integers(2, 400)) if trial % 50 else 9000
+            scale = 10.0 ** rng.uniform(-150.0, 150.0)
+            if trial % 10 == 0:
+                scale = 10.0 ** rng.uniform(150.0, 160.0)
+            spread = 10.0 ** rng.uniform(-3.0, 3.0)
+            y = rng.normal(scale, scale * spread, size)
+            x = 0.7 * y + rng.normal(0.0, scale * spread, size)
+            errors = rng.normal(0.0, scale * spread * 0.1, (2, size))
+            ds = dataset(np.column_stack([y, x, y + errors[0],
+                                          x + errors[1]]))
+            got = params_outcome(compute_params, ds)
+            assert got == params_outcome(per_column_params, ds), trial
+            kinds.append(got[0])
+        assert 0 < kinds.count("error") < len(kinds) / 5
+
     def test_hand_fixture_moments(self):
         p = compute_params(hand_dataset(), n_for_theory=4)
         assert p.mu_y == 127.0
