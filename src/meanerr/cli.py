@@ -156,10 +156,11 @@ class _PlanRow(NamedTuple):
 
 def _optimal_row(label: str, cells: dict, solve,
                  bracket: Optional[PowerExpBracket] = None) -> _PlanRow:
-    """The row of the optimum ``solve`` returns, or its singularity note."""
+    """The row of the optimum ``solve`` returns, or the note that says why
+    it has none: a singular system, or weights beyond the float range."""
     try:
         opt, breakdown = solve()
-    except theory.SingularSystemError as exc:
+    except (theory.SingularSystemError, OverflowError) as exc:
         return _PlanRow(label, cells, None, None, str(exc))
     return _PlanRow(label,
                     {**cells, "mean_weight": opt.first,

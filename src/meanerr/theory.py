@@ -314,10 +314,16 @@ def min_mse_weighted_power_exp(m: MomentSet, m_free: MomentSet, mu_y: float,
     """Optimal weighted power-exp estimator with its decomposed minimum.
 
     Like ``min_mse_weighted_diff``, the error-free leg re-optimizes at zero
-    error variances.
+    error variances. Raises OverflowError, named for the family, when a
+    weight, the minimum or a coefficient on the way leaves the float range.
     """
-    opt = mse_quadratic(m, bracket).minimize(mu_y)
-    opt_free = mse_quadratic(m_free, bracket).minimize(mu_y)
+    try:
+        opt = mse_quadratic(m, bracket).minimize(mu_y)
+        opt_free = mse_quadratic(m_free, bracket).minimize(mu_y)
+    except OverflowError:
+        # float ** raises a bare (34, 'Numerical result out of range')
+        raise OverflowError("optimal weights of the weighted power-exp "
+                            "family leave the float range") from None
     return opt, _breakdown(opt_free.min_mse, opt.min_mse)
 
 

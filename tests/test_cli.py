@@ -287,15 +287,45 @@ class TestVarianceProductOutOfRange:
         assert (code, err) == (0, "")
         assert json_rows(out)[0]["rho"] == 1.0
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_non_finite_optimal_weights_are_data_error(self, capsys,
-                                                       tmp_path, command):
+    def test_non_finite_optimal_weights_blank_their_rows(self, capsys,
+                                                         tmp_path):
+        # an optimum beyond the float range blanks its row, as a singular
+        # one does; the other rows keep their finite totals
+        notes = {"weighted_diff_optimal": "weighted difference",
+                 "weighted_power_exp_optimal": "weighted power-exp family"}
+        blanked = ("mean_weight", "aux_weight", "without_me",
+                   "me_contribution", "total", "pre")
         for text in (self.HUGE, self.HUGE_COV):
             code, out, err = run_cli(
-                capsys, [*command, "--data", self.write(tmp_path, text)])
+                capsys, ["theory", "--data", self.write(tmp_path, text),
+                         "--format", "json"])
+            assert (code, err) == (0, "")
+            rows = json_rows(out)
+            assert len(rows) == 4 + 2 * len(DEFAULT_GRID)
+            for row in rows:
+                if row["estimator"] in notes:
+                    assert row["note"] == (
+                        f"optimal weights of the {notes[row['estimator']]} "
+                        f"leave the float range")
+                    assert [row[c] for c in blanked] == [None] * 6
+                else:
+                    assert row["note"] == ""
+                    assert 0.0 < row["total"] < float("inf")
+        code, out, _ = run_cli(
+            capsys, ["theory", "--data", self.write(tmp_path, self.HUGE),
+                     "--format", "csv"])
+        assert csv_rows(out)[0]["total"] == "4.999999999999999e+199"
+
+    def test_simulate_overflows_in_monte_carlo(self, capsys, tmp_path):
+        for text in (self.HUGE, self.HUGE_COV):
+            code, out, err = run_cli(
+                capsys, ["simulate", "--replicates", "100",
+                         "--data", self.write(tmp_path, text)])
             assert (code, out) == (2, "")
-            assert err == ("error: numerical overflow: optimal weights of "
-                           "the weighted difference leave the float range\n")
+            assert err == (
+                "error: numerical overflow: Monte Carlo moments of "
+                "Estimator(mean_weight=1.0, aux_weight=0.0, bracket=None) "
+                "leave the float range\n")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_underflowing_product_runs(self, capsys, tmp_path, command):
