@@ -19,9 +19,10 @@ Three subcommands share one source-resolution and rendering pipeline:
 
 Exit codes: 0 success, 1 usage error, 2 any input the program cannot
 evaluate (bad data or configuration, a file that is not UTF-8, a run too
-large to allocate, theory or optimal weights beyond the float range), 3
-tolerance failure (``simulate --tolerance`` exceeded).  Output is a pure
-function of the flag set.
+large to allocate, theory beyond the float range), 3 tolerance failure
+(``simulate --tolerance`` exceeded).  An optimum that is singular or
+beyond the float range blanks its own row and says why in its note.
+Output is a pure function of the flag set.
 """
 
 from __future__ import annotations

@@ -122,11 +122,9 @@ def load_dataset(source: Union[str, os.PathLike, Iterable[str]],
 
     ``source`` is a path or an open text stream. Row numbers in error
     messages are 1-based data rows (the header is row 0). Columns beyond the
-    mapped four are ignored. The data lines are parsed in one ``np.loadtxt``
-    pass unless they hold a quote (or a \\x1c-\\x1f separator), or the
-    pass fails or meets a non-finite value; then they are re-read cell by
-    cell with the csv module, which gives the same numbers or names the
-    first bad cell.
+    mapped four are ignored. The data lines are parsed in one C pass
+    (``np.loadtxt``) where it reads them as the csv module does, and
+    otherwise cell by cell with the csv module (see ``_load_numbers``).
     """
     columns = columns or ColumnMap()
     if isinstance(source, (str, os.PathLike)):

@@ -313,8 +313,13 @@ def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
         squares = deviations * deviations
         try:
             # math.fsum is exactly rounded, hence independent of summation
-            # order; it raises OverflowError when finite terms sum past the
-            # float range
+            # order. It raises OverflowError when the terms sum past the
+            # float range, and near that limit it can also raise
+            # "intermediate overflow" on a sum that is finite. The engine
+            # never gets that far: a deviation above about 1.3e154 makes
+            # its square infinite, which ends in the named error below,
+            # and the squares and SE terms are non-negative, so no partial
+            # sum passes their total.
             bias = math.fsum(deviations.tolist()) / used
             mse = math.fsum(squares.tolist()) / used
             se_mse = math.nan
