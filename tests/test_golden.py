@@ -26,13 +26,6 @@ _MONTE_CARLO = ["--replicates", "200", "--seed", "7"]
 # negative alpha, alpha = 2 and the B = 0 bracket.
 _UNITS = ["--data", str(GOLDEN / "units.csv")]
 _EDGE_GRID = ["--grid=-3,2", "--grid=2,-1.5", "--grid=0,0", "--grid=1,-1"]
-# One table written two ways, with CRLF endings, a blank line, an extra
-# column and a repeated header name (the last X is read): units-crlf.csv
-# holds numbers only, and units-quoted.csv puts the quoted cell "a,b" in
-# the unused id column. Both must print the same bytes.
-_READERS = {label: ["theory", "--data", str(GOLDEN / f"units-{label}.csv"),
-                    "--n", "200", *_EDGE_GRID]
-            for label in ("crlf", "quoted")}
 
 CASES = {
     "params-preset": ["params", *_PRESET],
@@ -49,8 +42,11 @@ _LAWS = {"gaussian": [], "uniform": ["--error-law", "uniform"],
 # other formats print: the non-Gaussian error laws, and a grid with a
 # negative alpha, a non-positive row and the B = 0 bracket; theory at
 # n = 2 and n = 2000 from the preset and from the dataset; and each error
-# law over replicates that cross engine block boundaries; and the two
-# spellings of one dataset.
+# law over replicates that cross engine block boundaries; and one table
+# written two ways, with CRLF endings, a blank line, an extra column and a
+# repeated header name (the last X is read): units-crlf.csv holds numbers
+# only, and units-quoted.csv puts the quoted cell "a,b" in the unused id
+# column. Both must print the same bytes.
 CSV_CASES = {
     "simulate-preset-uniform": ["simulate", *_PRESET, *_MONTE_CARLO,
                                 "--error-law", "uniform"],
@@ -65,7 +61,10 @@ CSV_CASES = {
        for n in (2, 2000)},
     **{f"simulate-blocks-{law}": ["simulate", *_PRESET, *_BLOCKS, *flags]
        for law, flags in _LAWS.items()},
-    **{f"theory-data-{label}": argv for label, argv in _READERS.items()},
+    **{f"theory-data-{label}": ["theory", "--data",
+                                str(GOLDEN / f"units-{label}.csv"),
+                                "--n", "200", *_EDGE_GRID]
+       for label in ("crlf", "quoted")},
 }
 RUNS = ([(case, fmt) for case in sorted(CASES) for fmt in FORMATS]
         + [(case, "csv") for case in sorted(CSV_CASES)])
@@ -77,7 +76,6 @@ def test_output_matches_golden_file(case, fmt, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
-
 
 
 def test_both_spellings_print_the_same_table():
