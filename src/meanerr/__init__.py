@@ -16,7 +16,6 @@ else lives in the submodules ``moments``, ``estimators``, ``theory``,
 from .estimators import Estimator, PowerExpBracket
 from .ingest import preset
 from .simulate import SimulationConfig, run_monte_carlo
-from .theory import min_mse_weighted_power_exp
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,6 @@ __all__ = [
     "Estimator",
     "PowerExpBracket",
     "SimulationConfig",
-    "min_mse_weighted_power_exp",
     "preset",
     "run_monte_carlo",
     "__version__",

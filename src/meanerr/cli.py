@@ -37,12 +37,11 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .estimators import Estimator, ExpBracket, PowerExpBracket
 from .ingest import (ColumnMap, compute_params, load_dataset, preset,
                      preset_names)
-from .moments import PopulationParams, derive_moments
+from .moments import PopulationParams
 from .simulate import ErrorLaw, SimulationConfig, run_monte_carlo
 from . import theory
 
@@ -145,81 +144,16 @@ def scenario_table(params: PopulationParams, source: str) -> ReportTable:
                        rows=(dataclasses.asdict(params),))
 
 
-class _PlanRow(NamedTuple):
-    """One estimator row of the comparison, shared by both tables."""
-
-    label: str
-    cells: dict                          # the alpha/beta/weight cells that apply
-    spec: Optional[Estimator]            # None when the optimum is singular
-    breakdown: Optional[theory.MseBreakdown]
-    note: str = ""
-
-
-def _optimal_row(label: str, cells: dict, solve,
-                 bracket: Optional[PowerExpBracket] = None) -> _PlanRow:
-    """The row of the optimum ``solve`` returns, or the note that says why
-    it has none: a singular system, or weights beyond the float range."""
-    try:
-        opt, breakdown = solve()
-    except (theory.SingularSystemError, OverflowError) as exc:
-        return _PlanRow(label, cells, None, None, str(exc))
-    return _PlanRow(label,
-                    {**cells, "mean_weight": opt.first,
-                     "aux_weight": opt.second},
-                    Estimator(opt.first, opt.second, bracket), breakdown)
-
-
-def _row_plan(params: PopulationParams,
-              grid: Sequence[tuple[int, float]]) -> list[_PlanRow]:
-    """The comparison's rows in table order, at ``params`` as given.
-
-    Rows: mean per unit, exp-ratio, regression-slope difference, optimal
-    weighted difference, then the power-exp rows for every grid pair
-    followed by the optimal weighted power-exp rows for every grid pair.
-    A singular optimum yields spec and breakdown None with the reason in
-    the note; the other rows are unaffected. The moments with and without
-    the errors are derived once for all rows.
-    """
-    m = derive_moments(params)
-    m_free = derive_moments(params, error_free=True)
-    mu_y = params.mu_y
-    slope = theory.regression_slope(m)
-    plan = [
-        _PlanRow("mean_per_unit", {}, Estimator(),
-                 theory.var_mean_per_unit(m, m_free)),
-        _PlanRow("exp_ratio", {}, Estimator(bracket=ExpBracket()),
-                 theory.mse_exp_ratio(params, m)),
-        _PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
-                 Estimator(1.0, slope),
-                 theory.mse_regression_diff(m, m_free, mu_y)),
-        _optimal_row("weighted_diff_optimal", {},
-                     lambda: theory.min_mse_weighted_diff(m, m_free, mu_y)),
-    ]
-    brackets = [PowerExpBracket(float(alpha), float(beta))
-                for alpha, beta in grid]
-    for (alpha, beta), bracket in zip(grid, brackets):
-        plan.append(_PlanRow("power_exp", {"alpha": alpha, "beta": beta},
-                             Estimator(bracket=bracket),
-                             theory.mse_power_exp(m, m_free, bracket)))
-    for (alpha, beta), bracket in zip(grid, brackets):
-        plan.append(_optimal_row(
-            "weighted_power_exp_optimal", {"alpha": alpha, "beta": beta},
-            lambda: theory.min_mse_weighted_power_exp(m, m_free, mu_y,
-                                                      bracket),
-            bracket))
-    return plan
-
-
 def theory_table(params: PopulationParams,
                  grid: Sequence[tuple[int, float]] = DEFAULT_GRID,
                  ) -> ReportTable:
-    """First-order MSE comparison table in ``_row_plan`` order.
+    """First-order MSE comparison table in ``theory.row_plan`` order.
 
     PRE is taken against the mean-per-unit row. A row whose first-order
     total is not positive keeps its legs and total, but its PRE is left
     empty and the note says why.
     """
-    plan = _row_plan(params, tuple(grid))
+    plan = theory.row_plan(params, tuple(grid))
     reference = plan[0].breakdown.total
     rows = []
     for entry in plan:
@@ -249,7 +183,7 @@ def simulation_table(config: SimulationConfig,
     whose first-order MSE is not positive gets no relative gap, a note that
     says why, and is left out of the worst gap.
     """
-    plan = _row_plan(config.params, tuple(grid))
+    plan = theory.row_plan(config.params, tuple(grid))
     specs = [entry.spec for entry in plan if entry.spec is not None]
     # theory_mse comes from each spec, not from the breakdowns, whose totals
     # are formed differently (re-summed legs, rearranged minima); it is taken

@@ -140,7 +140,11 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
     one C pass (``_load_numbers``) where it can, else by the per-cell csv
     re-read, the one path that names the first bad row and cell."""
     lines = iter(stream)
-    header = next(csv.reader(lines, delimiter=delimiter), None)
+    try:
+        header = next(csv.reader(lines, delimiter=delimiter), None)
+    except csv.Error as exc:
+        # such as a cell beyond csv's field limit
+        raise DatasetError(f"header row: {exc}") from None
     if header is None:
         raise DatasetError("input is empty; a header row is required")
     wanted = (columns.true_study, columns.true_aux,
@@ -158,12 +162,16 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
     if values is None:
         # blank lines are skipped and do not count as rows
         records = filter(None, csv.reader(body, delimiter=delimiter))
-        values = np.array(
-            [[_parse_cell(record[i] if i < len(record) else None,
-                          row_number, column)
-              for i, column in zip(indices, wanted)]
-             for row_number, record in enumerate(records, start=1)],
-            dtype=np.float64).reshape(-1, 4)
+        rows: list[list[float]] = []
+        try:
+            for record in records:
+                rows.append([
+                    _parse_cell(record[i] if i < len(record) else None,
+                                len(rows) + 1, column)
+                    for i, column in zip(indices, wanted)])
+        except csv.Error as exc:
+            raise DatasetError(f"row {len(rows) + 1}: {exc}") from None
+        values = np.array(rows, dtype=np.float64).reshape(-1, 4)
     return MeasuredDataset(*values.T, name=name)
 
 

@@ -9,12 +9,13 @@ xbar = mu_x.
 Conventions
 -----------
 * Every MSE splits as ``without_me + me_contribution = total`` where
-  ``without_me`` is the same formula evaluated at zero error variances. The
-  breakdowns take the moment pair ``m = derive_moments(params)`` and
-  ``m_free = derive_moments(params, error_free=True)``, derived once by the
-  caller. Rows built around optimal coefficients re-optimize at zero error
-  variances for the without leg, so both legs describe the best attainable
-  value in their own world.
+  ``without_me`` is the same formula evaluated at zero error variances.
+  The formulas take one moment set; ``row_plan`` derives
+  ``m = derive_moments(params)`` and
+  ``m_free = derive_moments(params, error_free=True)`` once per table and
+  evaluates each row's formula at both. Rows built around optimal
+  coefficients re-optimize at zero error variances for the without leg, so
+  both legs describe the best attainable value in their own world.
 * A correction bracket expands as 1 - B d - A d^2 with
   d = (xbar - mu_x)/mu_x; the bracket carries B as ``linear`` and A as
   ``quadratic``. The power-exp bracket
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from .estimators import Bracket, Estimator, ExpBracket, PowerExpBracket
 from .moments import MomentSet, PopulationParams, derive_moments
@@ -44,20 +46,17 @@ __all__ = [
     "MseBreakdown",
     "OptimalWeights",
     "MseQuadratic",
-    "var_mean_per_unit",
     "mse_exp_ratio",
     "regression_slope",
-    "mse_regression_diff",
     "mse_weighted_diff",
     "optimal_weighted_diff",
-    "min_mse_weighted_diff",
-    "mse_power_exp",
     "mse_power_exp_total",
     "mse_quadratic",
-    "min_mse_weighted_power_exp",
     "first_order_bias",
     "pre",
     "theory_mse",
+    "PlanRow",
+    "row_plan",
 ]
 
 # Relative threshold below which a normal-equation determinant counts as zero.
@@ -88,6 +87,13 @@ def _breakdown(without_me: float, total: float) -> MseBreakdown:
                         total=without_me + me)
 
 
+def _legs(formula, m: MomentSet, m_free: MomentSet, *args) -> MseBreakdown:
+    """The breakdown of ``formula(moments, *args)``: the total at ``m``,
+    taken first, and the error-free leg at ``m_free``."""
+    total = formula(m, *args)
+    return _breakdown(formula(m_free, *args), total)
+
+
 @dataclass(frozen=True)
 class OptimalWeights:
     """MSE-minimizing coefficient pair and the minimum it attains."""
@@ -95,17 +101,6 @@ class OptimalWeights:
     first: float     # weight on ybar
     second: float    # weight on (mu_x - xbar)
     min_mse: float
-
-
-# --------------------------------------------------------------- mean per unit
-
-def var_mean_per_unit(m: MomentSet, m_free: MomentSet) -> MseBreakdown:
-    """Variance of the observed study mean, split by error contribution.
-
-    total = (sigma_y2 + sigma_u2)/n, the error-free leg drops sigma_u2. This
-    is exact, and it is the reference MSE for every efficiency comparison.
-    """
-    return _breakdown(without_me=m_free.var_ybar, total=m.var_ybar)
 
 
 # ------------------------------------------------------------------- exp ratio
@@ -188,33 +183,6 @@ def optimal_weighted_diff(m: MomentSet, mu_y: float) -> OptimalWeights:
     return opt
 
 
-def min_mse_weighted_diff(m: MomentSet, m_free: MomentSet, mu_y: float,
-                          ) -> tuple[OptimalWeights, MseBreakdown]:
-    """Optimal weighted difference with its decomposed minimum MSE.
-
-    The error-free leg re-optimizes at sigma_u2 = sigma_v2 = 0; it is the
-    best error-free value, not the with-error optimum evaluated there.
-    """
-    opt = optimal_weighted_diff(m, mu_y)
-    opt_free = optimal_weighted_diff(m_free, mu_y)
-    return opt, _breakdown(opt_free.min_mse, opt.min_mse)
-
-
-def mse_regression_diff(m: MomentSet, m_free: MomentSet, mu_y: float,
-                        ) -> MseBreakdown:
-    """Decomposed MSE of the weighted difference at mean_weight = 1 and the
-    regression slope.
-
-    Each leg uses the slope of its own moment set, so the error-free leg is
-    evaluated at the error-free slope (the best mean_weight = 1 choice for
-    that leg), mirroring the re-optimization convention of the jointly
-    optimal rows.
-    """
-    total = mse_weighted_diff(m, mu_y, 1.0, regression_slope(m))
-    without = mse_weighted_diff(m_free, mu_y, 1.0, regression_slope(m_free))
-    return _breakdown(without, total)
-
-
 # ------------------------------------------------------------ power-exp family
 
 def mse_power_exp_total(m: MomentSet, bracket: PowerExpBracket) -> float:
@@ -223,13 +191,6 @@ def mse_power_exp_total(m: MomentSet, bracket: PowerExpBracket) -> float:
     B = bracket.linear
     return (m.var_ybar + m.var_xbar * m.ratio**2 * B**2
             - 2.0 * m.ratio * B * m.cov_yxbar)
-
-
-def mse_power_exp(m: MomentSet, m_free: MomentSet, bracket: PowerExpBracket,
-                  ) -> MseBreakdown:
-    """Decomposed first-order MSE of the power-exp corrected mean."""
-    return _breakdown(mse_power_exp_total(m_free, bracket),
-                      mse_power_exp_total(m, bracket))
 
 
 # -------------------------------------------------- weighted power-exp family
@@ -308,25 +269,6 @@ def mse_quadratic(m: MomentSet, bracket: Bracket) -> MseQuadratic:
     )
 
 
-def min_mse_weighted_power_exp(m: MomentSet, m_free: MomentSet, mu_y: float,
-                               bracket: PowerExpBracket,
-                               ) -> tuple[OptimalWeights, MseBreakdown]:
-    """Optimal weighted power-exp estimator with its decomposed minimum.
-
-    Like ``min_mse_weighted_diff``, the error-free leg re-optimizes at zero
-    error variances. Raises OverflowError, named for the family, when a
-    weight, the minimum or a coefficient on the way leaves the float range.
-    """
-    try:
-        opt = mse_quadratic(m, bracket).minimize(mu_y)
-        opt_free = mse_quadratic(m_free, bracket).minimize(mu_y)
-    except OverflowError:
-        # float ** raises a bare (34, 'Numerical result out of range')
-        raise OverflowError("optimal weights of the weighted power-exp "
-                            "family leave the float range") from None
-    return opt, _breakdown(opt_free.min_mse, opt.min_mse)
-
-
 # ------------------------------------------------------------------------ bias
 
 def first_order_bias(spec: Estimator, m: MomentSet, mu_x: float,
@@ -380,10 +322,91 @@ def theory_mse(spec: Estimator, params: PopulationParams) -> float:
         # the breakdown re-sums its legs, so the total needs both
         m_free = derive_moments(params, error_free=True)
         if bracket is None:
-            return var_mean_per_unit(m, m_free).total
-        return mse_power_exp(m, m_free, bracket).total
+            return _breakdown(m_free.var_ybar, m.var_ybar).total
+        return _legs(mse_power_exp_total, m, m_free, bracket).total
     if bracket is None:
         return mse_weighted_diff(m, params.mu_y, spec.mean_weight,
                                  spec.aux_weight)
     return mse_quadratic(m, bracket).mse(params.mu_y, spec.mean_weight,
                                          spec.aux_weight)
+
+
+# -------------------------------------------------------------------- row plan
+
+class PlanRow(NamedTuple):
+    """One estimator row of the comparison, shared by the theory and Monte
+    Carlo tables."""
+
+    label: str
+    cells: dict                          # the alpha/beta/weight cells that apply
+    spec: Optional[Estimator]            # None when the row has no optimum
+    breakdown: Optional[MseBreakdown]
+    note: str = ""
+
+
+def _optimal_row(label: str, cells: dict, family: str, solve,
+                 m: MomentSet, m_free: MomentSet,
+                 bracket: Optional[PowerExpBracket] = None) -> PlanRow:
+    """The row of the optimum ``solve`` finds in ``m``, with the error-free
+    leg re-solved in ``m_free`` after it, or the note that says why it has
+    none: a singular system, or weights beyond the float range."""
+    try:
+        opt = solve(m)
+        breakdown = _breakdown(solve(m_free).min_mse, opt.min_mse)
+    except SingularSystemError as exc:
+        return PlanRow(label, cells, None, None, str(exc))
+    except OverflowError:
+        # float ** raises a bare (34, 'Numerical result out of range')
+        return PlanRow(label, cells, None, None, f"optimal weights of the "
+                       f"{family} leave the float range")
+    return PlanRow(label,
+                   {**cells, "mean_weight": opt.first,
+                    "aux_weight": opt.second},
+                   Estimator(opt.first, opt.second, bracket), breakdown)
+
+
+def row_plan(params: PopulationParams,
+             grid: Sequence[tuple[int, float]]) -> list[PlanRow]:
+    """The comparison's rows in table order, at ``params`` as given.
+
+    Rows: mean per unit, exp-ratio, regression-slope difference, optimal
+    weighted difference, then the power-exp rows for every grid pair
+    followed by the optimal weighted power-exp rows for every grid pair.
+    Except for the exp-ratio row, each breakdown is one family formula at
+    ``m`` and at ``m_free``, derived once for all rows: the exact variance
+    of the observed study mean (the reference of every PRE), the weighted
+    difference at each moment set's own regression slope, and the optima
+    solved in each moment set. Rows are built in table order, so a formula
+    that overflows aborts the plan before the rows after it. A singular
+    optimum, or one beyond the float range, yields spec and breakdown None
+    with the reason in the note; the other rows are unaffected.
+    """
+    m = derive_moments(params)
+    m_free = derive_moments(params, error_free=True)
+    mu_y = params.mu_y
+    slope = regression_slope(m)
+    plan = [
+        PlanRow("mean_per_unit", {}, Estimator(),
+                _breakdown(m_free.var_ybar, m.var_ybar)),
+        PlanRow("exp_ratio", {}, Estimator(bracket=ExpBracket()),
+                mse_exp_ratio(params, m)),
+        PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
+                Estimator(1.0, slope),
+                _legs(lambda mm: mse_weighted_diff(
+                    mm, mu_y, 1.0, regression_slope(mm)), m, m_free)),
+        _optimal_row("weighted_diff_optimal", {}, "weighted difference",
+                     lambda mm: optimal_weighted_diff(mm, mu_y), m, m_free),
+    ]
+    brackets = [PowerExpBracket(float(alpha), float(beta))
+                for alpha, beta in grid]
+    for (alpha, beta), bracket in zip(grid, brackets):
+        plan.append(PlanRow("power_exp", {"alpha": alpha, "beta": beta},
+                            Estimator(bracket=bracket),
+                            _legs(mse_power_exp_total, m, m_free, bracket)))
+    for (alpha, beta), bracket in zip(grid, brackets):
+        plan.append(_optimal_row(
+            "weighted_power_exp_optimal", {"alpha": alpha, "beta": beta},
+            "weighted power-exp family",
+            lambda mm: mse_quadratic(mm, bracket).minimize(mu_y), m, m_free,
+            bracket))
+    return plan

@@ -49,14 +49,11 @@ from meanerr.theory import (
     mse_exp_ratio,
     mse_power_exp_total,
     mse_quadratic,
-    mse_regression_diff,
     mse_weighted_diff,
-    min_mse_weighted_diff,
-    min_mse_weighted_power_exp,
     optimal_weighted_diff,
     regression_slope,
+    row_plan,
     theory_mse,
-    var_mean_per_unit,
 )
 
 PRESET = "gujarati-table1"
@@ -348,14 +345,9 @@ def test_criterion_7_invariant_suite():
         m = derive_moments(params)
         mu_x, mu_y = params.mu_x, params.mu_y
 
-        # Decomposition identity, exact, for every row builder.
-        m_free = derive_moments(params, error_free=True)
-        breakdowns = [var_mean_per_unit(m, m_free), mse_exp_ratio(params, m),
-                      mse_regression_diff(m, m_free, mu_y),
-                      min_mse_weighted_diff(m, m_free, mu_y)[1]]
-        for alpha, beta in GRID:
-            breakdowns.append(min_mse_weighted_power_exp(
-                m, m_free, mu_y, PowerExpBracket(alpha, beta))[1])
+        # Decomposition identity, exact, for every row of the plan.
+        breakdowns = [row.breakdown for row in row_plan(params, GRID)]
+        assert len(breakdowns) == 4 + 2 * len(GRID)
         for breakdown in breakdowns:
             assert breakdown.without_me + breakdown.me_contribution \
                 == breakdown.total

@@ -17,9 +17,9 @@ from meanerr.cli import DEFAULT_GRID, main
 from meanerr.estimators import PowerExpBracket
 from meanerr.ingest import preset
 from meanerr.moments import derive_moments
-from meanerr.theory import SingularSystemError, var_mean_per_unit
+from meanerr.theory import SingularSystemError
 
-from conftest import moment_pair, params_from_dict
+from conftest import params_from_dict
 
 PRESET = "gujarati-table1"
 
@@ -351,6 +351,23 @@ class TestUnevaluableInput:
         path.write_bytes(b"Y,X,y,x\n1,2,3,4\n\xff\xfe,2,3,4\n")
         self.assert_data_error(capsys, ["theory", "--data", str(path)])
 
+    # csv.reader refuses a cell longer than its field limit of 131 072
+    # characters; a data cell of that length reaches csv only after
+    # np.loadtxt reads it as inf
+    @pytest.mark.parametrize("text, message", [
+        ("Y,X,y,x\n1,2,3,1" + "0" * 140_000 + "\n5,6,7,9\n",
+         "error: row 1: field larger than field limit (131072)\n"),
+        ("Y,X,y,x," + "h" * 140_000 + "\n1,2,3,1,0\n5,6,7,9,0\n",
+         "error: header row: field larger than field limit (131072)\n"),
+    ], ids=["data-cell", "header-cell"])
+    def test_cell_beyond_csv_field_limit(self, capsys, tmp_path, text,
+                                         message):
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        self.assert_data_error(capsys, ["params", "--data", str(path)])
+        code, _, err = run_cli(capsys, ["theory", "--data", str(path)])
+        assert (code, err) == (2, message)
+
     def test_block_too_big_to_index(self, capsys):
         # a block holds at least one replicate's 4n doubles, 256 PiB at this
         # n, which cannot be allocated, so nothing is drawn
@@ -509,23 +526,23 @@ class TestTheoryCommand:
 
     def test_totals_match_library(self, capsys):
         params = preset(PRESET)
-        m, m_free = moment_pair(params)
+        m = derive_moments(params)
         rows = self.theory_json(capsys)
-        assert rows[0]["total"] == var_mean_per_unit(m, m_free).total
+        plan = theory.row_plan(params, DEFAULT_GRID)
+        assert len(rows) == len(plan)
+        for row, entry in zip(rows, plan):
+            assert row["estimator"] == entry.label
+            assert [row["without_me"], row["me_contribution"],
+                    row["total"]] == [entry.breakdown.without_me,
+                                      entry.breakdown.me_contribution,
+                                      entry.breakdown.total]
         assert rows[1]["total"] == theory.mse_exp_ratio(params, m).total
-        assert rows[2]["total"] == theory.mse_regression_diff(
-            m, m_free, params.mu_y).total
-        opt, breakdown = theory.min_mse_weighted_diff(m, m_free, params.mu_y)
-        assert rows[3]["total"] == breakdown.total
+        opt = theory.optimal_weighted_diff(m, params.mu_y)
         assert rows[3]["mean_weight"] == opt.first
         assert rows[3]["aux_weight"] == opt.second
-        for row, (alpha, beta) in zip(rows[4:8], DEFAULT_GRID):
-            assert row["total"] == theory.mse_power_exp(
-                m, m_free, PowerExpBracket(alpha, beta)).total
         for row, (alpha, beta) in zip(rows[8:12], DEFAULT_GRID):
-            opt, breakdown = theory.min_mse_weighted_power_exp(
-                m, m_free, params.mu_y, PowerExpBracket(alpha, beta))
-            assert row["total"] == breakdown.total
+            opt = theory.mse_quadratic(
+                m, PowerExpBracket(alpha, beta)).minimize(params.mu_y)
             assert row["mean_weight"] == opt.first
             assert row["aux_weight"] == opt.second
 
@@ -598,8 +615,7 @@ class TestTheoryCommand:
         def explode(*args):
             raise SingularSystemError("synthetic singularity")
 
-        monkeypatch.setattr(
-            "meanerr.theory.min_mse_weighted_power_exp", explode)
+        monkeypatch.setattr(theory.MseQuadratic, "minimize", explode)
         code, out, _ = run_cli(
             capsys, ["theory", "--preset", PRESET, "--format", "json"])
         assert code == 0
@@ -680,16 +696,17 @@ class TestSimulateCommand:
     def test_theory_column_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, [*SMALL_RUN, "--format", "json"])
         assert json_rows(out)[0]["theory_mse"] == \
-            var_mean_per_unit(*moment_pair(preset(PRESET))).total
+            theory.row_plan(preset(PRESET), ())[0].breakdown.total
 
     def test_n_override_rescales_theory_and_weights(self, capsys):
         _, out, _ = run_cli(
             capsys, [*SMALL_RUN, "--n", "50", "--format", "json"])
         rows = json_rows(out)
         rescaled = replace(preset(PRESET), n=50)
-        m, m_free = moment_pair(rescaled)
-        assert rows[0]["theory_mse"] == var_mean_per_unit(m, m_free).total
-        opt, _ = theory.min_mse_weighted_diff(m, m_free, rescaled.mu_y)
+        assert rows[0]["theory_mse"] == \
+            theory.row_plan(rescaled, ())[0].breakdown.total
+        opt = theory.optimal_weighted_diff(derive_moments(rescaled),
+                                           rescaled.mu_y)
         assert rows[3]["mean_weight"] == opt.first
         assert rows[3]["aux_weight"] == opt.second
 

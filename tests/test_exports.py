@@ -1,5 +1,5 @@
 """Every name the package and its submodules export resolves, and the
-engine's layering holds."""
+layering of the engine and the CLI holds."""
 
 import ast
 import importlib
@@ -27,10 +27,12 @@ def test_all_names_resolve(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
-def test_engine_imports_no_theory():
-    # parsed, not imported: the package __init__ loads theory anyway, so
-    # sys.modules cannot show what simulate itself imports
-    source = Path(meanerr.__file__).with_name("simulate.py").read_text(
+def imported_names(module):
+    """Each module the source of ``meanerr.<module>`` imports, and each
+    name it takes from one, as spelled there (".theory", ".moments.pre")."""
+    # parsed, not imported: the package __init__ loads every submodule, so
+    # sys.modules cannot show what one submodule itself imports
+    source = Path(meanerr.__file__).with_name(f"{module}.py").read_text(
         encoding="utf-8")
     imported = set()
     for node in ast.walk(ast.parse(source)):
@@ -43,4 +45,17 @@ def test_engine_imports_no_theory():
             imported.update(base + sep + alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert imported.isdisjoint({".theory", "meanerr.theory"}), imported
+    return imported
+
+
+@pytest.mark.parametrize("module, forbidden", [
+    # the engine returns empirical moments only; theory is the caller's
+    ("simulate", {".theory", "meanerr.theory"}),
+    # the CLI takes its rows from theory.row_plan: it builds no estimator
+    # and derives no moments
+    ("cli", {".estimators", "meanerr.estimators",
+             ".moments.derive_moments", "meanerr.moments.derive_moments"}),
+], ids=["simulate", "cli"])
+def test_import_layering(module, forbidden):
+    imported = imported_names(module)
+    assert imported.isdisjoint(forbidden), imported & forbidden

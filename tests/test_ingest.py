@@ -143,6 +143,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"row 2, column 'X'"):
             load_dataset(stream)
 
+    def test_cell_beyond_csv_field_limit_names_its_row(self):
+        # blank lines do not count as rows; the quote sends the whole body
+        # through the csv re-read
+        long_cell = "1" + "0" * 140_000
+        stream = io.StringIO(f'Y,X,y,x\n\n"1",2,3,4\n\n5,{long_cell},7,8\n')
+        with pytest.raises(DatasetError, match="^row 2: field larger than "
+                                               "field limit"):
+            load_dataset(stream)
+        with pytest.raises(DatasetError, match="^header row: field larger "
+                                               "than field limit"):
+            load_dataset(io.StringIO(f"Y,X,y,x,{long_cell}\n1,2,3,4,5\n"))
+
     def test_too_few_rows(self):
         for text, rows in (("Y,X,y,x\n1,2,3,4\n", 1), ("Y,X,y,x\n", 0)):
             with pytest.raises(DatasetError,

@@ -13,26 +13,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from meanerr.cli import _row_plan
 from meanerr.estimators import Estimator, ExpBracket, PowerExpBracket
 from meanerr.moments import MomentSet, derive_moments
 from meanerr.theory import (
     MseQuadratic,
     SingularSystemError,
     first_order_bias,
-    min_mse_weighted_diff,
-    min_mse_weighted_power_exp,
     mse_exp_ratio,
-    mse_power_exp,
     mse_power_exp_total,
     mse_quadratic,
-    mse_regression_diff,
     mse_weighted_diff,
     optimal_weighted_diff,
     pre,
     regression_slope,
+    row_plan,
     theory_mse,
-    var_mean_per_unit,
 )
 
 from conftest import moment_pair, population_params
@@ -45,6 +40,17 @@ def power_exp(alpha, beta):
     return Estimator(bracket=PowerExpBracket(alpha, beta))
 
 
+def plan_row(params, label, pair=None):
+    """The ``label`` row of ``row_plan`` at ``params``; the power-exp rows
+    are those of the one-pair grid ``pair``."""
+    grid = () if pair is None else (pair,)
+    return next(row for row in row_plan(params, grid) if row.label == label)
+
+
+def mean_per_unit(params):
+    return plan_row(params, "mean_per_unit").breakdown
+
+
 def exp_ratio_moment_form(m):
     """First-order MSE of the exponential ratio estimator in moment form:
     var_ybar + ratio^2 var_xbar / 4 - ratio cov_yxbar."""
@@ -54,14 +60,15 @@ def exp_ratio_moment_form(m):
 
 class TestMeanPerUnit:
     def test_benchmark_values(self, table_params):
-        v = var_mean_per_unit(*moment_pair(table_params))
+        v = mean_per_unit(table_params)
         assert v.total == pytest.approx(131.4, rel=1e-12)
         assert v.without_me == pytest.approx(127.8, rel=1e-12)
         assert v.me_contribution == pytest.approx(3.6, rel=1e-12)
 
     @given(population_params())
     def test_decomposition_exact(self, params):
-        v = var_mean_per_unit(*moment_pair(params))
+        v = mean_per_unit(params)
+        assert v.without_me == moment_pair(params)[1].var_ybar
         assert v.total == v.without_me + v.me_contribution
         assert v.me_contribution >= 0.0
 
@@ -110,7 +117,7 @@ class TestExpRatio:
         # that is ratio * var_xbar / cov_yxbar <= 4
         m = derive_moments(table_params)
         assert (mse_exp_ratio(table_params, derive_moments(table_params)).total
-                <= var_mean_per_unit(*moment_pair(table_params)).total)
+                <= mean_per_unit(table_params).total)
         assert m.ratio * m.var_xbar / m.cov_yxbar == pytest.approx(
             1.258871526864795, rel=1e-12)
 
@@ -118,9 +125,8 @@ class TestExpRatio:
         # with rho = 0 the correction only adds variance
         params = dataclasses.replace(table_params, rho=0.0)
         assert derive_moments(params).cov_yxbar == 0.0
-        m, m_free = moment_pair(params)
-        assert (mse_exp_ratio(params, m).total
-                > var_mean_per_unit(m, m_free).total)
+        assert (mse_exp_ratio(params, derive_moments(params)).total
+                > mean_per_unit(params).total)
 
 
 class TestWeightedDifference:
@@ -142,7 +148,7 @@ class TestWeightedDifference:
         assert without == pytest.approx(9.035971200000000, rel=1e-12)
 
     def test_regression_breakdown_matches_composition(self, table_params):
-        bd = mse_regression_diff(*moment_pair(table_params), table_params.mu_y)
+        bd = plan_row(table_params, "regression_diff").breakdown
         assert bd.without_me == pytest.approx(9.035971200000000, rel=1e-12)
         assert bd.total == pytest.approx(13.917597410071942, rel=1e-12)
         assert bd.without_me + bd.me_contribution == bd.total
@@ -167,8 +173,12 @@ class TestWeightedDifference:
         assert opt.min_mse == pytest.approx(13.905598369842689, rel=1e-12)
 
     def test_min_mse_breakdown_benchmark(self, table_params):
-        opt, bd = min_mse_weighted_diff(*moment_pair(table_params),
-                                        table_params.mu_y)
+        row = plan_row(table_params, "weighted_diff_optimal")
+        bd = row.breakdown
+        opt = optimal_weighted_diff(derive_moments(table_params),
+                                    table_params.mu_y)
+        assert (row.spec.mean_weight, row.spec.aux_weight) == (opt.first,
+                                                               opt.second)
         assert opt.min_mse == bd.total
         assert bd.without_me == pytest.approx(9.030911800227132, rel=1e-12)
         assert bd.me_contribution == pytest.approx(4.874686569615558, rel=1e-12)
@@ -275,7 +285,7 @@ class TestPowerExpRatio:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_benchmark_mse_and_bias(self, table_params, pair):
         total, without, me, bias = POWER_EXP_BENCHMARK[pair]
-        bd = mse_power_exp(*moment_pair(table_params), PowerExpBracket(*pair))
+        bd = plan_row(table_params, "power_exp", pair).breakdown
         assert bd.total == pytest.approx(total, rel=1e-12)
         assert bd.without_me == pytest.approx(without, rel=1e-12)
         assert bd.me_contribution == pytest.approx(me, rel=1e-11)
@@ -338,17 +348,17 @@ class TestWeightedPowerExp:
     def test_optimum_benchmark(self, table_params, pair):
         first, second, min_mse, min_free, me, bias = OPTIMA_BENCHMARK[pair]
         bracket = PowerExpBracket(*pair)
-        opt, bd = min_mse_weighted_power_exp(*moment_pair(table_params),
-                                             table_params.mu_y, bracket)
-        assert opt.first == pytest.approx(first, rel=1e-9)
-        assert opt.second == pytest.approx(second, rel=1e-9)
-        assert opt.min_mse == pytest.approx(min_mse, rel=1e-12)
+        row = plan_row(table_params, "weighted_power_exp_optimal", pair)
+        opt, bd = row.spec, row.breakdown
+        assert opt.bracket == bracket
+        assert opt.mean_weight == pytest.approx(first, rel=1e-9)
+        assert opt.aux_weight == pytest.approx(second, rel=1e-9)
+        assert bd.total == pytest.approx(min_mse, rel=1e-12)
         assert bd.without_me == pytest.approx(min_free, rel=1e-12)
         assert bd.me_contribution == pytest.approx(me, rel=1e-11)
         m = derive_moments(table_params)
-        got_bias = first_order_bias(
-            Estimator(opt.first, opt.second, bracket), m, table_params.mu_x,
-            table_params.mu_y)
+        got_bias = first_order_bias(opt, m, table_params.mu_x,
+                                    table_params.mu_y)
         assert got_bias == pytest.approx(bias, rel=1e-9)
 
     @given(population_params(),
@@ -401,12 +411,13 @@ class TestWeightedPowerExp:
                 assert perturbed >= opt.min_mse - 1e-12 * opt.min_mse
 
     def test_dominance_over_mean_per_unit(self, table_params):
-        reference = var_mean_per_unit(*moment_pair(table_params)).total
-        for pair in PAIRS:
-            opt, _ = min_mse_weighted_power_exp(*moment_pair(table_params),
-                                                table_params.mu_y,
-                                                PowerExpBracket(*pair))
-            assert opt.min_mse <= reference
+        plan = row_plan(table_params, PAIRS)
+        reference = plan[0].breakdown.total
+        optima = [row for row in plan
+                  if row.label == "weighted_power_exp_optimal"]
+        assert len(optima) == len(PAIRS)
+        for row in optima:
+            assert row.breakdown.total <= reference
 
     def test_singular_system_raises(self):
         quad = MseQuadratic(mean_sq=1.0, aux_sq=1.0, cross=1.0,
@@ -460,25 +471,24 @@ PRE_BENCHMARK = [
 
 class TestPre:
     def test_reference_is_exactly_100(self, table_params):
-        ref = var_mean_per_unit(*moment_pair(table_params)).total
+        ref = mean_per_unit(table_params).total
         assert pre(ref, ref) == 100.0
 
     def test_benchmark_values(self, table_params):
-        m, m_free = moment_pair(table_params)
-        ref = var_mean_per_unit(m, m_free).total
+        m = derive_moments(table_params)
+        ref = mean_per_unit(table_params).total
         assert pre(ref, mse_exp_ratio(table_params, m).total) == pytest.approx(
             437.270796, abs=1e-6)
         treg = mse_weighted_diff(m, table_params.mu_y, 1.0,
                                  regression_slope(m))
         assert pre(ref, treg) == pytest.approx(944.128474, abs=1e-6)
-        opt, _ = min_mse_weighted_diff(m, m_free, table_params.mu_y)
+        opt = optimal_weighted_diff(m, table_params.mu_y)
         assert pre(ref, opt.min_mse) == pytest.approx(944.943155, abs=1e-6)
         for pair, unweighted, weighted in PRE_BENCHMARK[4:]:
             bracket = PowerExpBracket(*pair)
-            assert pre(ref, mse_power_exp(m, m_free, bracket).total
+            assert pre(ref, mse_power_exp_total(m, bracket)
                        ) == pytest.approx(unweighted, abs=1e-6)
-            opt, _ = min_mse_weighted_power_exp(m, m_free, table_params.mu_y,
-                                                bracket)
+            opt = mse_quadratic(m, bracket).minimize(table_params.mu_y)
             assert pre(ref, opt.min_mse) == pytest.approx(weighted, abs=1e-6)
 
     def test_rejects_nonpositive(self):
@@ -545,14 +555,15 @@ class TestRescaledScenario:
 
 class TestDispatcher:
     def test_matches_per_estimator_functions(self, table_params):
-        m, m_free = moment_pair(table_params)
+        m = derive_moments(table_params)
         pe = PowerExpBracket(1.0, 1.0)
         cases = [
-            (Estimator(), var_mean_per_unit(m, m_free).total),
+            (Estimator(), mean_per_unit(table_params).total),
             (EXP_RATIO, mse_exp_ratio(table_params, m).total),
             (Estimator(0.9, 0.4),
              mse_weighted_diff(m, table_params.mu_y, 0.9, 0.4)),
-            (Estimator(bracket=pe), mse_power_exp(m, m_free, pe).total),
+            (Estimator(bracket=pe),
+             plan_row(table_params, "power_exp", (1, 1)).breakdown.total),
             (Estimator(0.9, -0.4, pe),
              mse_quadratic(m, pe).mse(table_params.mu_y, 0.9, -0.4)),
             (Estimator(0.9, -0.4, ExpBracket()),
@@ -569,11 +580,11 @@ class TestDispatcher:
         # sigma_u2 > sigma_y2
         params = dataclasses.replace(table_params, rho=0.0, sigma_y2=1.0,
                                      sigma_u2=3.7)
-        plan = {row.label: row for row in _row_plan(params, ())}
+        plan = {row.label: row for row in row_plan(params, ())}
         spec = plan["regression_diff"].spec
         assert spec == plan["mean_per_unit"].spec == Estimator()
         total = theory_mse(spec, params)
-        assert total == var_mean_per_unit(*moment_pair(params)).total
+        assert total == plan["mean_per_unit"].breakdown.total
         formula = mse_weighted_diff(derive_moments(params), params.mu_y,
                                     1.0, 0.0)
         assert total == 0.47 and formula == 0.47000000000000003
@@ -583,5 +594,5 @@ class TestDispatcher:
     @settings(max_examples=30)
     def test_totals_agree_with_breakdowns(self, params, pair):
         bracket = PowerExpBracket(*map(float, pair))
-        bd = mse_power_exp(*moment_pair(params), bracket)
+        bd = plan_row(params, "power_exp", pair).breakdown
         assert theory_mse(Estimator(bracket=bracket), params) == bd.total
