@@ -36,17 +36,20 @@ CASES = {
 }
 # Enough replicates at n = 10 for two full engine blocks and one row more.
 _BLOCKS = ["--n", "10", "--replicates", "1281", "--seed", "7"]
+# Enough replicates for two full aggregation chunks of 4096 and one more.
+_CHUNKS = ["--n", "2", "--replicates", "8193", "--seed", "7"]
 _LAWS = {"gaussian": [], "uniform": ["--error-law", "uniform"],
          "student-t": ["--error-law", "student-t", "--error-df", "6"]}
 # Cases kept in csv only, whose full precision carries every number the
 # other formats print: the non-Gaussian error laws, and a grid with a
 # negative alpha, a non-positive row and the B = 0 bracket; theory at
-# n = 2 and n = 2000 from the preset and from the dataset; and each error
-# law over replicates that cross engine block boundaries; and one table
-# written two ways, with CRLF endings, a blank line, an extra column and a
-# repeated header name (the last X is read): units-crlf.csv holds numbers
-# only, and units-quoted.csv puts the quoted cell "a,b" in the unused id
-# column. Both must print the same bytes.
+# n = 2 and n = 2000 from the preset and from the dataset; each error law
+# over replicates that cross engine block boundaries; the Gaussian and
+# Student-t laws over replicates that cross aggregation chunk boundaries;
+# and one table written two ways, with CRLF endings, a blank line, an
+# extra column and a repeated header name (the last X is read):
+# units-crlf.csv holds numbers only, and units-quoted.csv puts the quoted
+# cell "a,b" in the unused id column. Both must print the same bytes.
 CSV_CASES = {
     "simulate-preset-uniform": ["simulate", *_PRESET, *_MONTE_CARLO,
                                 "--error-law", "uniform"],
@@ -61,6 +64,8 @@ CSV_CASES = {
        for n in (2, 2000)},
     **{f"simulate-blocks-{law}": ["simulate", *_PRESET, *_BLOCKS, *flags]
        for law, flags in _LAWS.items()},
+    **{f"simulate-chunks-{law}": ["simulate", *_PRESET, *_CHUNKS, *_LAWS[law]]
+       for law in ("gaussian", "student-t")},
     **{f"theory-data-{label}": ["theory", "--data",
                                 str(GOLDEN / f"units-{label}.csv"),
                                 "--n", "200", *_EDGE_GRID]
