@@ -15,8 +15,14 @@ observed values and their means are computed in place over the whole block
 in the per-replicate operation order, so the means equal those of drawing
 one replicate at a time bit for bit: ``draw_replicate`` is a one-row call
 of the same kernel and returns that replicate's observed ``(y, x)`` arrays.
-All aggregation uses exact summation, so results are bit-identical for any
-order of the replicates.
+
+The means are aggregated over every spec at once, ``_CHUNK`` replicates at
+a time. Each chunk's deviations, squares and SE terms are split into a few
+exact parts by error-free extraction (``_exact_parts``), and parts from
+different chunks merge by list concatenation, so beyond the means the
+aggregation's memory does not grow with the number of replicates. Each
+moment is ``math.fsum`` of its parts: the exactly rounded sum of its terms,
+and so the same bits for any order of the replicates and any chunking.
 
 Replicates where an estimator lands in its domain hazard (or overflows) are
 excluded from that estimator's averages and surfaced through
@@ -62,6 +68,11 @@ _MAX_REPLICATES = np.iinfo(np.intp).max // 8
 # no faster at n = 10 (Student-t) or at n = 200 (Gaussian).
 _BLOCK_VALUES = 32 * 800
 _NON_FINITE_SAMPLE = "sample values must be finite"
+# Replicates per aggregation chunk. A run of at most this many evaluates
+# each spec once; a longer one evaluates every chunk but the last again
+# for the SE terms. Each working array is (specs, _CHUNK) doubles: 384 KiB
+# for the 12 specs of the default grid.
+_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -295,56 +306,151 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     return ybars, xbars
 
 
-def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
-                    mu_y: float, mu_x: float) -> SimulationResult:
-    reps = ybars.size
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = evaluate_at_means(spec, ybars, xbars, mu_x)
-    ok = hazard_free(spec, xbars, mu_x) & np.isfinite(values)
-    used = int(np.count_nonzero(ok))
-    if used == 0:
-        raise AllReplicatesSkippedError(
-            f"all {reps} replicates hit the domain hazard of {spec!r}")
+def _exact_parts(block: np.ndarray, parts: list[list]) -> None:
+    """Append to ``parts[i]`` floats whose exact sum is that of ``block[i]``.
 
-    deviations = values[ok] - mu_y
-    # finite values far from mu_y can square past the float range: that
-    # raises one OverflowError below, and numpy stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation", SIAM J. Sci. Comput. 2008): over rows of m values r, take
+    sigma a power of two with sigma >= 2**(ceil(log2(m + 2)) + 1) * max|r|.
+    Then q = (r + sigma) - sigma and r - q are exact, every q is a multiple
+    of ulp(sigma) / 2 and each row's total of q stays below sigma, so
+    ``q.sum(axis=1)`` is exact in any order. Repeating on r - q until it is
+    zero splits each row into a few exact level sums (two or three for the
+    engine's moments), and ``math.fsum`` over a row's parts is then its
+    correctly rounded sum: the bits of ``math.fsum`` over the row itself.
+    One sigma serves the whole block, a scalar that numpy adds faster than
+    a column, so its rows should be of one scale. A row whose own sigma
+    would leave the float range, or that holds an inf, appends its values
+    themselves. Parts of several blocks merge by list concatenation.
+    """
+    shift = (block.shape[1] + 1).bit_length() + 1
+    peaks = np.maximum(block.max(axis=1), -block.min(axis=1))
+    raw = ~(peaks < 2.0 ** (1023 - shift))
+    for i in np.flatnonzero(raw):
+        parts[i].extend(block[i])
+    rows = np.flatnonzero(~raw)
+    residual = block[rows]
+    q = np.empty_like(residual)
+    peak = peaks[rows].max(initial=0.0)
+    while peak > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(peak)[1] + shift)
+        np.add(residual, sigma, out=q)
+        q -= sigma
+        residual -= q
+        for i, level in zip(rows, q.sum(axis=1)):
+            parts[i].append(level)
+        peak = max(residual.max(), -residual.min())
+
+
+def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
+                  xbars: np.ndarray, mu_y: float, mu_x: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over one chunk of replicates, each spec's deviations from ``mu_y``
+    and their squares, two ``(k, width)`` arrays with 0.0 where a replicate
+    is skipped, and the ``(k, width)`` mask of the replicates used."""
+    shape = (len(specs), ybars.size)
+    deviations = np.zeros(shape)
+    used = np.empty(shape, dtype=bool)
+    # a finite value far from mu_y, or its square, can leave the float
+    # range: the spec's sums then do too, and raise one named OverflowError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for spec, row, ok in zip(specs, deviations, used):
+            values = evaluate_at_means(spec, ybars, xbars, mu_x)
+            np.logical_and(hazard_free(spec, xbars, mu_x),
+                           np.isfinite(values), out=ok)
+            np.subtract(values, mu_y, out=row, where=ok)
         squares = deviations * deviations
-        try:
-            # math.fsum is exactly rounded, hence independent of summation
-            # order. It raises OverflowError when the terms sum past the
-            # float range, and near that limit it can also raise
-            # "intermediate overflow" on a sum that is finite. The engine
-            # never gets that far: a deviation above about 1.3e154 makes
-            # its square infinite, which ends in the named error below,
-            # and the squares and SE terms are non-negative, so no partial
-            # sum passes their total.
-            bias = math.fsum(deviations.tolist()) / used
-            mse = math.fsum(squares.tolist()) / used
-            se_mse = math.nan
-            if used >= 2:
-                # float_power squares through libm pow, as the scalar ``** 2``
-                # of a numpy float does; ``** 2`` on the array and np.square
-                # multiply instead and can round the last bit differently
-                sq_var = math.fsum(
-                    np.float_power(squares - mse, 2.0).tolist()) / (used - 1)
-                se_mse = math.sqrt(sq_var / used)
-            finite = (math.isfinite(bias) and math.isfinite(mse)
-                      and (used < 2 or math.isfinite(se_mse)))
-        except OverflowError:
-            finite = False
-    if not finite:
-        raise OverflowError(
-            f"Monte Carlo moments of {spec!r} leave the float range")
-    return SimulationResult(
-        estimator=spec,
-        empirical_bias=bias,
-        empirical_mse=mse,
-        mc_se_mse=se_mse,
-        replicates_used=used,
-        replicates_skipped=reps - used,
-    )
+    return deviations, squares, used
+
+
+def _mean(parts: list, count: int) -> float:
+    """The exactly rounded sum of ``parts`` over ``count``, inf where the
+    sum leaves the float range.
+
+    math.fsum raises OverflowError when its terms sum past the float range,
+    and near that limit it can also raise "intermediate overflow" on a
+    finite sum of terms of mixed sign. The engine never gets that far: a
+    deviation above about 1.3e154 makes its square infinite, and the
+    squares and SE terms are non-negative, so no partial sum passes their
+    total (the lower level sums of ``_exact_parts`` are far below it).
+    """
+    try:
+        return math.fsum(parts) / count
+    except OverflowError:
+        return math.inf
+
+
+def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
+               xbars: np.ndarray, mu_y: float,
+               mu_x: float) -> list[SimulationResult]:
+    """Empirical bias, MSE and MSE standard error of every spec.
+
+    The replicates are taken ``_CHUNK`` at a time. A first pass sums each
+    spec's deviations and squares exactly; a second sums the SE terms
+    (s - mse)**2, which need the MSE, re-evaluating every chunk but the
+    last, whose block is still at hand. The first spec in order whose
+    replicates are all skipped, or whose moments leave the float range,
+    raises.
+    """
+    reps = ybars.size
+    k = len(specs)
+    chunks = [(start, min(start + _CHUNK, reps))
+              for start in range(0, reps, _CHUNK)]
+    deviation_sums = [[] for _ in specs]
+    square_sums = [[] for _ in specs]
+    used = np.zeros(k, dtype=np.int64)
+    for start, stop in chunks:
+        deviations, squares, ok = _moment_block(
+            specs, ybars[start:stop], xbars[start:stop], mu_y, mu_x)
+        used += np.count_nonzero(ok, axis=1)
+        _exact_parts(deviations, deviation_sums)
+        _exact_parts(squares, square_sums)
+    last = squares, ok
+    counts = [int(count) for count in used]
+    bias = [_mean(parts, count) if count else math.nan
+            for parts, count in zip(deviation_sums, counts)]
+    mse = [_mean(parts, count) if count else math.nan
+           for parts, count in zip(square_sums, counts)]
+
+    need = [i for i, count in enumerate(counts) if count >= 2
+            and math.isfinite(bias[i]) and math.isfinite(mse[i])]
+    se_sums = [[] for _ in need]
+    if need:
+        column = np.array([[mse[i]] for i in need])
+        for start, stop in chunks:
+            squares, ok = last if stop == reps else _moment_block(
+                specs, ybars[start:stop], xbars[start:stop], mu_y, mu_x)[1:]
+            # float_power squares through libm pow, as the scalar ``** 2``
+            # of a numpy float does; ``** 2`` on the array and np.square
+            # multiply instead and can round the last bit differently
+            terms = np.zeros((len(need), stop - start))
+            with np.errstate(over="ignore"):
+                np.float_power(squares[need] - column, 2.0, out=terms,
+                               where=ok[need])
+            _exact_parts(terms, se_sums)
+    se_mse = [math.nan] * k
+    for i, parts in zip(need, se_sums):
+        se_mse[i] = math.sqrt(_mean(parts, counts[i] - 1) / counts[i])
+
+    results = []
+    for i, spec in enumerate(specs):
+        count = counts[i]
+        if count == 0:
+            raise AllReplicatesSkippedError(
+                f"all {reps} replicates hit the domain hazard of {spec!r}")
+        if not (math.isfinite(bias[i]) and math.isfinite(mse[i])
+                and (count < 2 or math.isfinite(se_mse[i]))):
+            raise OverflowError(
+                f"Monte Carlo moments of {spec!r} leave the float range")
+        results.append(SimulationResult(
+            estimator=spec,
+            empirical_bias=bias[i],
+            empirical_mse=mse[i],
+            mc_se_mse=se_mse[i],
+            replicates_used=count,
+            replicates_skipped=reps - count,
+        ))
+    return results
 
 
 def run_monte_carlo(config: SimulationConfig,
@@ -356,6 +462,5 @@ def run_monte_carlo(config: SimulationConfig,
     ``theory.theory_mse(spec, config.params)`` beside them.
     """
     ybars, xbars = _replicate_means(config)
-    return [_aggregate_spec(spec, ybars, xbars, config.params.mu_y,
-                            config.params.mu_x)
-            for spec in specs]
+    return _aggregate(specs, ybars, xbars, config.params.mu_y,
+                      config.params.mu_x)

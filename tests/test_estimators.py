@@ -17,7 +17,7 @@ from meanerr.estimators import (
     evaluate_at_means,
     hazard_free,
 )
-from meanerr.simulate import _aggregate_spec
+from meanerr.simulate import _aggregate
 
 MEAN_PER_UNIT = Estimator()
 EXP_RATIO = Estimator(bracket=ExpBracket())
@@ -155,8 +155,8 @@ class TestContinuityProbe:
 def engine_skips(spec, ybar, xbar, mu_x):
     """Replicates the engine's aggregation skips out of two: one at
     (ybar, xbar) and one clean replicate at xbar = mu_x."""
-    result = _aggregate_spec(spec, np.array([ybar, ybar]),
-                             np.array([xbar, mu_x]), mu_y=ybar, mu_x=mu_x)
+    (result,) = _aggregate([spec], np.array([ybar, ybar]),
+                           np.array([xbar, mu_x]), mu_y=ybar, mu_x=mu_x)
     assert result.replicates_used + result.replicates_skipped == 2
     return result.replicates_skipped
 

@@ -23,7 +23,7 @@ from meanerr.simulate import (
     ErrorLaw,
     SimulationConfig,
     SimulationResult,
-    _aggregate_spec,
+    _aggregate,
     _block_rows,
     _replicate_means,
     _row_filler,
@@ -388,7 +388,7 @@ class TestRunMonteCarlo:
 
 class TestMseVarianceSum:
     """The vectorised sum of squared deviations of the squared errors in
-    ``_aggregate_spec`` against the scalar form it replaced,
+    ``_aggregate`` against the scalar form it replaced,
     ``math.fsum((s - mse) ** 2 for s in squares)``. A numpy float's scalar
     ``** 2`` squares through libm pow, as float_power does; the array
     ``** 2`` and np.square multiply, and differ in the last bit on about
@@ -411,8 +411,8 @@ class TestMseVarianceSum:
         for trial in range(3000):
             size = int(rng.integers(2, 13))
             ybars = mu_y + rng.standard_normal(size) * rng.uniform(0.1, 100.0)
-            result = _aggregate_spec(Estimator(), ybars, ybars, mu_y=mu_y,
-                                     mu_x=170.0)
+            (result,) = _aggregate([Estimator()], ybars, ybars, mu_y=mu_y,
+                                   mu_x=170.0)
             squares = (ybars - mu_y) * (ybars - mu_y)
             mse = math.fsum(squares) / size
             sq_var = math.fsum((s - mse) ** 2 for s in squares) / (size - 1)
@@ -448,8 +448,8 @@ class TestMomentOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"Estimator\("):
-                _aggregate_spec(Estimator(), ybars, np.full(4, 170.0),
-                                mu_y=0.0, mu_x=170.0)
+                _aggregate([Estimator()], ybars, np.full(4, 170.0),
+                           mu_y=0.0, mu_x=170.0)
 
 
 class TestAllReplicatesSkipped:
@@ -460,7 +460,7 @@ class TestAllReplicatesSkipped:
         xbars = np.full(5, -170.0)
         ybars = np.ones(5)
         with pytest.raises(AllReplicatesSkippedError):
-            _aggregate_spec(EXP_RATIO, ybars, xbars, mu_y=127.0, mu_x=170.0)
+            _aggregate([EXP_RATIO], ybars, xbars, mu_y=127.0, mu_x=170.0)
 
 
 class TestConvergenceSweep:
