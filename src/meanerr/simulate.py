@@ -19,10 +19,10 @@ of the same kernel and returns that replicate's observed ``(y, x)`` arrays.
 The means are aggregated over every spec at once, ``_CHUNK`` replicates at
 a time. Each chunk's deviations, squares and SE terms are split into a few
 exact parts by error-free extraction (``_exact_parts``), and parts from
-different chunks merge by list concatenation, so beyond the means the
-aggregation's memory does not grow with the number of replicates. Each
-moment is ``math.fsum`` of its parts: the exactly rounded sum of its terms,
-and so the same bits for any order of the replicates and any chunking.
+different chunks merge by list concatenation, so the working arrays stay
+of chunk size for any number of replicates. Each moment is ``math.fsum``
+of its parts: the exactly rounded sum of its terms, and so the same bits
+for any order of the replicates and any chunking.
 
 Replicates where an estimator lands in its domain hazard (or overflows) are
 excluded from that estimator's averages and surfaced through
@@ -350,17 +350,17 @@ def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
     is skipped, and the ``(k, width)`` mask of the replicates used."""
     shape = (len(specs), ybars.size)
     deviations = np.zeros(shape)
-    used = np.empty(shape, dtype=bool)
+    mask = np.empty(shape, dtype=bool)
     # a finite value far from mu_y, or its square, can leave the float
     # range: the spec's sums then do too, and raise one named OverflowError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for spec, row, ok in zip(specs, deviations, used):
+        for spec, row, ok in zip(specs, deviations, mask):
             values = evaluate_at_means(spec, ybars, xbars, mu_x)
             np.logical_and(hazard_free(spec, xbars, mu_x),
                            np.isfinite(values), out=ok)
             np.subtract(values, mu_y, out=row, where=ok)
         squares = deviations * deviations
-    return deviations, squares, used
+    return deviations, squares, mask
 
 
 def _mean(parts: list, count: int) -> float:
