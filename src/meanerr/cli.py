@@ -324,13 +324,26 @@ def _add_grid_flag(parser: argparse.ArgumentParser) -> None:
 _NEGATIVE_GRID_VALUE = re.compile(r"-\.?\d")
 
 
-def _join_grid_values(argv: Sequence[str]) -> list[str]:
-    """``argv`` with ``--grid -1,0`` rewritten as ``--grid=-1,0``."""
+@functools.cache
+def _grid_spellings(parser: argparse.ArgumentParser) -> frozenset[str]:
+    """The flags after which ``_join_grid_values`` joins a negative value:
+    ``--grid`` itself, for every parser, and each abbreviation that
+    ``parser`` resolves to its ``--grid`` flag."""
+    return frozenset(["--grid", *(
+        prefix for prefix in ("--g", "--gr", "--gri")
+        if [flag for flag in parser._option_string_actions
+            if flag.startswith(prefix)] == ["--grid"])])
+
+
+def _join_grid_values(argv: Sequence[str],
+                      spellings: frozenset[str]) -> list[str]:
+    """``argv`` with ``--grid -1,0`` rewritten as ``--grid=-1,0``, and
+    likewise after every other flag in ``spellings``."""
     joined: list[str] = []
     for token in argv:
-        if (joined and joined[-1] == "--grid"
+        if (joined and joined[-1] in spellings
                 and _NEGATIVE_GRID_VALUE.match(token)):
-            joined[-1] = f"--grid={token}"
+            joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
     return joined
@@ -344,6 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     ``main`` included, so callers must not change it. Reuse holds no state
     between parses: every default is rebuilt per parse (``--grid`` appends
     to a fresh list), and usage errors go to the ``sys.stderr`` of the call.
+
+    Each subcommand's flags live on its own parser, reachable by name from
+    the returned parser's ``commands``. ``main`` hands a command line that
+    starts with a subcommand name straight to that parser; the top-level
+    parser reads only the rest (no arguments, ``-h``, a name it does not
+    know) and reports unrecognized arguments. ``parse_args`` on the
+    returned parser reads every command line the same way, in two passes.
     """
     parser = _Parser(
         prog="meanerr",
@@ -386,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "between empirical and theory MSE "
                                    "exceeds GAP")
     simulate_cmd.set_defaults(handler=_cmd_simulate)
+    parser.commands = subparsers.choices
     return parser
 
 
@@ -470,19 +491,46 @@ def _cmd_simulate(args) -> int:
     return EXIT_SUCCESS
 
 
+def _parse(parser: argparse.ArgumentParser,
+           argv: Sequence[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)`` in one argparse pass, with negative
+    ``--grid`` values joined to their flag.
+
+    A command line that starts with a subcommand name is read by that
+    subcommand's parser alone, into a namespace that already holds
+    ``command``; anything it leaves over is reported by the top-level
+    parser, as ``parse_args`` reports it. Every other command line (no
+    arguments, ``-h``, an unknown or abbreviated command) goes through the
+    top-level parser's ``parse_args``.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(
+            _join_grid_values(argv, _grid_spellings(parser)))
+    args, extras = command.parse_known_args(
+        _join_grid_values(argv[1:], _grid_spellings(command)),
+        argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
-    Exit 2 follows the exception family, not the raising module: ValueError,
-    ArithmeticError, MemoryError and OSError mark input the program cannot
-    evaluate. TypeError, KeyError, IndexError and AttributeError signal a
-    bug and propagate.
+    The shared ``build_parser()`` reads ``argv`` in one pass: the named
+    subcommand's parser reads its flags, and the top-level parser reads
+    the rest and reports usage errors that belong to no subcommand (see
+    ``_parse``). Exit 2 follows the exception family, not the raising
+    module: ValueError, ArithmeticError, MemoryError and OSError mark input
+    the program cannot evaluate. TypeError, KeyError, IndexError and
+    AttributeError signal a bug and propagate.
     """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_grid_values(argv))
+        args = _parse(parser, argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

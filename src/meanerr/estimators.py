@@ -48,10 +48,25 @@ class EvaluationError(ValueError):
     """Raised for non-finite estimator coefficients and samples."""
 
 
+# A coefficient must be a finite instance of one of these.
+_REAL = (int, float)
+
+
+def _finite_pair(a, b) -> bool:
+    """Whether both coefficients are finite ints or floats."""
+    return (isinstance(a, _REAL) and isinstance(b, _REAL)
+            and math.isfinite(a) and math.isfinite(b))
+
+
 def _check_finite_coeffs(obj, names) -> None:
+    """EvaluationError naming the first of ``names`` that is not finite.
+
+    The constructors call it only when ``_finite_pair`` fails, so a valid
+    coefficient pair is checked without the loop and the lookups.
+    """
     for name in names:
         v = getattr(obj, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if not (isinstance(v, _REAL) and math.isfinite(v)):
             raise EvaluationError(f"{type(obj).__name__}.{name} must be finite, "
                                   f"got {v!r}")
 
@@ -90,7 +105,8 @@ class PowerExpBracket:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_finite_coeffs(self, ("alpha", "beta"))
+        if not _finite_pair(self.alpha, self.beta):
+            _check_finite_coeffs(self, ("alpha", "beta"))
 
     @property
     def linear(self) -> float:
@@ -133,7 +149,8 @@ class Estimator:
     bracket: Optional[Bracket] = None
 
     def __post_init__(self) -> None:
-        _check_finite_coeffs(self, ("mean_weight", "aux_weight"))
+        if not _finite_pair(self.mean_weight, self.aux_weight):
+            _check_finite_coeffs(self, ("mean_weight", "aux_weight"))
 
 
 def evaluate_at_means(spec: Estimator, ybar, xbar, mu_x: float):

@@ -62,6 +62,11 @@ __all__ = [
 # Relative threshold below which a normal-equation determinant counts as zero.
 _SINGULAR_RTOL = 1e-12
 
+# The specs every plan shares, built and validated once. Both are frozen.
+_EXP_BRACKET = ExpBracket()
+_MEAN_PER_UNIT = Estimator()
+_EXP_RATIO = Estimator(bracket=_EXP_BRACKET)
+
 
 class SingularSystemError(ArithmeticError):
     """Raised when the normal equations for optimal weights are singular."""
@@ -317,7 +322,7 @@ def theory_mse(spec: Estimator, params: PopulationParams) -> float:
     bracket = spec.bracket
     m = derive_moments(params)
     if (spec.mean_weight, spec.aux_weight) == (1.0, 0.0):
-        if bracket == ExpBracket():
+        if bracket == _EXP_BRACKET:
             return mse_exp_ratio(params, m).total
         # the breakdown re-sums its legs, so the total needs both
         m_free = derive_moments(params, error_free=True)
@@ -386,10 +391,9 @@ def row_plan(params: PopulationParams,
     mu_y = params.mu_y
     slope = regression_slope(m)
     plan = [
-        PlanRow("mean_per_unit", {}, Estimator(),
+        PlanRow("mean_per_unit", {}, _MEAN_PER_UNIT,
                 _breakdown(m_free.var_ybar, m.var_ybar)),
-        PlanRow("exp_ratio", {}, Estimator(bracket=ExpBracket()),
-                mse_exp_ratio(params, m)),
+        PlanRow("exp_ratio", {}, _EXP_RATIO, mse_exp_ratio(params, m)),
         PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
                 Estimator(1.0, slope),
                 _legs(lambda mm: mse_weighted_diff(

@@ -596,6 +596,25 @@ class TestTheoryCommand:
         assert code == 0, err
         assert spaced == joined
 
+    @pytest.mark.parametrize("command", ["theory", "simulate"])
+    @pytest.mark.parametrize("flag", ["--gri", "--gr", "--g"])
+    def test_negative_alpha_grid_after_abbreviated_flag(self, capsys, command,
+                                                         flag):
+        base = [command, "--preset", PRESET, "--format", "csv"]
+        if command == "simulate":
+            base += ["--replicates", "100"]
+        code, joined, err = run_cli(capsys, [*base, "--grid=-1,0"])
+        assert code == 0, err
+        code, spaced, err = run_cli(capsys, [*base, flag, "-1,0"])
+        assert code == 0, err
+        assert spaced == joined
+
+    def test_abbreviation_of_no_grid_flag_is_not_joined(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["params", "--preset", PRESET, "--gri", "-1,0"])
+        assert (code, out) == (1, "")
+        assert err.endswith("error: unrecognized arguments: --gri -1,0\n")
+
     def test_negative_alpha_grid_repeated_and_validated(self, capsys):
         rows = self.theory_json(capsys, "--grid", "-1,0.5", "--grid", "-3,-2")
         assert [(r["alpha"], r["beta"]) for r in rows[4:6]] == \

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +215,28 @@ class TestSpecValidationAndDescribe:
             Estimator(math.inf, 0.0)
         with pytest.raises(EvaluationError):
             PowerExpBracket(math.nan, 1.0)
+
+    @pytest.mark.parametrize("cls", [Estimator, PowerExpBracket])
+    @pytest.mark.parametrize("first, second, bad", [
+        (math.inf, 0.0, 0), (1.0, math.nan, 1), (-math.inf, math.nan, 0),
+        ("1", math.nan, 0), (None, 1.0, 0), (1.0, Fraction(1, 2), 1),
+        (np.int64(1), 1.0, 0), (1.0, np.float32(2.0), 1),
+        (1.0, np.float64(np.inf), 1)])
+    def test_names_the_first_bad_coefficient(self, cls, first, second, bad):
+        # the first coefficient that is not a finite int or float is named
+        name = dataclasses.fields(cls)[bad].name
+        value = (first, second)[bad]
+        with pytest.raises(EvaluationError) as excinfo:
+            cls(first, second)
+        assert str(excinfo.value) == (f"{cls.__name__}.{name} must be "
+                                      f"finite, got {value!r}")
+
+    @pytest.mark.parametrize("cls", [Estimator, PowerExpBracket])
+    def test_accepts_finite_ints_and_floats(self, cls):
+        for first, second in ((1, -2), (True, 0.5), (np.float64(0.25), 3),
+                              (-1e308, 5e-324)):
+            assert dataclasses.astuple(cls(first, second))[:2] == (first,
+                                                                  second)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)

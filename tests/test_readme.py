@@ -49,8 +49,7 @@ def test_command_lines_parse():
     # CLI 3, data source 1, reference runs 3 and the loop over --n 4
     assert len(commands) == 11
     for command in commands:
-        args = cli.build_parser().parse_args(
-            cli._join_grid_values(command[1:]))
+        args = cli._parse(cli.build_parser(), command[1:])
         assert args.command == command[1], command
 
 
