@@ -358,12 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     between parses: every default is rebuilt per parse (``--grid`` appends
     to a fresh list), and usage errors go to the ``sys.stderr`` of the call.
 
-    Each subcommand's flags live on its own parser, reachable by name from
-    the returned parser's ``commands``. ``main`` hands a command line that
-    starts with a subcommand name straight to that parser; the top-level
-    parser reads only the rest (no arguments, ``-h``, a name it does not
-    know) and reports unrecognized arguments. ``parse_args`` on the
-    returned parser reads every command line the same way, in two passes.
+    Each subcommand's parser is in the returned parser's ``commands``, by
+    name. ``main`` reads a command line that starts with a subcommand name
+    with that parser alone; the top-level parser reads every other command
+    line and reports the tokens a subcommand's parser leaves over.
     """
     parser = _Parser(
         prog="meanerr",
@@ -493,16 +491,8 @@ def _cmd_simulate(args) -> int:
 
 def _parse(parser: argparse.ArgumentParser,
            argv: Sequence[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)`` in one argparse pass, with negative
-    ``--grid`` values joined to their flag.
-
-    A command line that starts with a subcommand name is read by that
-    subcommand's parser alone, into a namespace that already holds
-    ``command``; anything it leaves over is reported by the top-level
-    parser, as ``parse_args`` reports it. Every other command line (no
-    arguments, ``-h``, an unknown or abbreviated command) goes through the
-    top-level parser's ``parse_args``.
-    """
+    """``parser.parse_args(argv)`` in one argparse pass (see ``main``),
+    with negative ``--grid`` values joined to their flag."""
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(
@@ -518,12 +508,16 @@ def _parse(parser: argparse.ArgumentParser,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code.
 
-    The shared ``build_parser()`` reads ``argv`` in one pass: the named
-    subcommand's parser reads its flags, and the top-level parser reads
-    the rest and reports usage errors that belong to no subcommand (see
-    ``_parse``). Exit 2 follows the exception family, not the raising
-    module: ValueError, ArithmeticError, MemoryError and OSError mark input
-    the program cannot evaluate. TypeError, KeyError, IndexError and
+    A command line that starts with a subcommand name is parsed once, by
+    that subcommand's parser from ``build_parser().commands``, into a
+    namespace that already holds ``command``; the top-level parser reports
+    any tokens left over, as ``parse_args`` does. Every other command line
+    (no arguments, ``-h``, an unknown or abbreviated command) goes through
+    the top-level ``parse_args``.
+
+    Exit 2 follows the exception family, not the raising module:
+    ValueError, ArithmeticError, MemoryError and OSError mark input the
+    program cannot evaluate. TypeError, KeyError, IndexError and
     AttributeError signal a bug and propagate.
     """
     parser = build_parser()

@@ -59,11 +59,8 @@ def _finite_pair(a, b) -> bool:
 
 
 def _check_finite_coeffs(obj, names) -> None:
-    """EvaluationError naming the first of ``names`` that is not finite.
-
-    The constructors call it only when ``_finite_pair`` fails, so a valid
-    coefficient pair is checked without the loop and the lookups.
-    """
+    """EvaluationError naming the first of ``names`` that is not finite;
+    the constructors call it only when ``_finite_pair`` fails."""
     for name in names:
         v = getattr(obj, name)
         if not (isinstance(v, _REAL) and math.isfinite(v)):

@@ -166,7 +166,7 @@ def check_simulate_row(row: dict, replicates: int) -> None:
         assert number(row["relative_gap"]) >= 0 and not row["note"], row
 
 
-def check(argv, grid, fmt, replicates, code, out, err) -> None:
+def check(command, grid, fmt, replicates, code, out, err) -> None:
     assert code in (cli.EXIT_SUCCESS, cli.EXIT_DATA, cli.EXIT_TOLERANCE), err
     if code == cli.EXIT_DATA:
         assert out == ""
@@ -177,7 +177,6 @@ def check(argv, grid, fmt, replicates, code, out, err) -> None:
     else:
         assert err == ""
     rows = parse_table(fmt, out)
-    command = argv[0]
     if command == "params":
         assert len(rows) == 1
         return
@@ -215,9 +214,9 @@ def test_every_accepted_command_line_keeps_the_contract(data_path):
         argv, text, grid, fmt, replicates = drawn
         if text is not None:
             data_path.write_text(text, encoding="utf-8")
-            argv.insert(2, str(data_path))
+            argv = [*argv[:2], str(data_path), *argv[2:]]
         code, out, err = run_main(argv)
-        check(argv, grid, fmt, replicates, code, out, err)
+        check(argv[0], grid, fmt, replicates, code, out, err)
         reached[argv[0], code] += 1
         reached[argv[0], "non-positive"] += "is not positive" in out
         reached[argv[0], "blank"] += ("singular" in out

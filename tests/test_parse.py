@@ -97,18 +97,23 @@ def edge_cases(path: str) -> list[list[str]]:
         [*theory, "--grid", "-1,0", "--grid", "-3,-2", "--format", "csv"],
         [*theory, "--gri", "-1,0"], [*theory, "--gr", "-.5,0"],
         [*theory, "--g", "-2,1"], [*theory, "--grid", "-1.5,0"],
-        [*theory, "--grid"], [*theory, "--grid", "1"], [*theory, "--grid", "9,0"],
+        [*theory, "--grid"], [*theory, "--grid", "1"],
+        [*theory, "--grid", "9,0"],
         [*theory, "--grid", "1,nan"], [*theory, "--grid", "-1,0", "--grid"],
         [*theory, "--grid", "--grid", "-1,0"],
-        [*theory, "junk"], [*theory, "--bogus"], [*theory, "--bogus", "x", "y"],
+        [*theory, "junk"], [*theory, "--bogus"],
+        [*theory, "--bogus", "x", "y"],
         [*theory, "-1,0"], [*theory, "--format", "xml"],
         [*theory, "--format", "json", "--format", "csv"],
-        [*theory, "--n", "many"], [*theory, "--n", "1"], [*theory, "--n", "-5"],
+        [*theory, "--n", "many"], [*theory, "--n", "1"],
+        [*theory, "--n", "-5"],
         [*theory, "--n", "2.5"], [*theory, "--n=2000", "--grid=1,0"],
         [*theory, "--col-Y", "A"], [*theory, "--col", "A"],
         ["params", *preset], ["params", *preset, "--format", "json"],
-        ["params", *preset, "--grid=1,0"], ["params", *preset, "--grid", "-1,0"],
-        ["params", *preset, "--gri", "-1,0"], ["params", *preset, "--g", "1,0"],
+        ["params", *preset, "--grid=1,0"],
+        ["params", *preset, "--grid", "-1,0"],
+        ["params", *preset, "--gri", "-1,0"],
+        ["params", *preset, "--g", "1,0"],
         ["params", "--data", path, "--n", "3", "--format", "csv"],
         ["params", *preset, "extra", "--more"], ["params", "--preset"],
         ["params", *preset, "--n", "x"], ["params", *preset, "--tab=1"],
