@@ -24,6 +24,10 @@ kernel ``evaluate_at_means`` accepts scalars or numpy arrays so the Monte
 Carlo engine can run it over a whole replicate batch at once; for one
 sample, pass it the means of the ``(y, x)`` arrays ``draw_replicate`` (in
 ``simulate``) returns, and ``hazard_free`` says where the value is defined.
+
+numpy is imported inside the functions that evaluate a bracket or build an
+array, not at module load: the theory reads only the coefficients, and a
+``theory`` or ``params`` run then never pays numpy's import time.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 __all__ = [
     "EvaluationError",
@@ -70,6 +72,7 @@ def _check_finite_coeffs(obj, names) -> None:
 
 def _everywhere(xbar, value: bool):
     """``value`` in the shape of ``xbar``: an array, or a scalar."""
+    import numpy as np
     return np.full(np.shape(xbar), value) if np.ndim(xbar) else value
 
 
@@ -82,10 +85,12 @@ class ExpBracket:
     quadratic = -0.375
 
     def __call__(self, xbar, mu_x: float):
+        import numpy as np
         return np.exp((mu_x - xbar) / (mu_x + xbar))
 
     def hazard_free(self, xbar, mu_x: float):
         """False at the division singularity xbar + mu_x = 0."""
+        import numpy as np
         return np.not_equal(xbar + mu_x, 0.0)
 
 
@@ -116,6 +121,7 @@ class PowerExpBracket:
                 + self.alpha * self.beta / 2.0)
 
     def __call__(self, xbar, mu_x: float):
+        import numpy as np
         power = np.power(xbar / mu_x, self.alpha)
         return 2.0 - power * np.exp(self.beta * (xbar - mu_x) / (xbar + mu_x))
 
@@ -123,6 +129,7 @@ class PowerExpBracket:
         """False at xbar + mu_x = 0, everywhere when mu_x = 0, and, for a
         non-integral alpha, where the power base xbar / mu_x <= 0 (which
         would leave the real line)."""
+        import numpy as np
         if mu_x == 0:
             return _everywhere(xbar, False)
         ok = np.not_equal(xbar + mu_x, 0.0)

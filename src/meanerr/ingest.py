@@ -12,6 +12,9 @@ divisor N (the population convention), including the error variances, which
 are divisor-N variances of the observed-minus-true differences. Only one
 divisor convention can be consistent with the benchmark tables; this one is
 pinned by the test fixtures.
+
+numpy is imported inside the functions that read or reduce a dataset, not
+at module load, so that a preset run, which needs neither, never loads it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Union
-
-import numpy as np
 
 from .moments import PopulationParams
 
@@ -71,6 +72,7 @@ class MeasuredDataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
+        import numpy as np
         arrays = {}
         length = None
         for f in fields(self):
@@ -120,16 +122,17 @@ def load_dataset(source: Union[str, os.PathLike, Iterable[str]],
                  name: Optional[str] = None) -> MeasuredDataset:
     """Read a delimited text file with a header row into a MeasuredDataset.
 
-    ``source`` is a path or an open text stream. Row numbers in error
-    messages are 1-based data rows (the header is row 0). Columns beyond the
-    mapped four are ignored. The data lines are parsed in one C pass
-    (``np.loadtxt``) where it reads them as the csv module does, and
-    otherwise cell by cell with the csv module (see ``_load_numbers``).
+    ``source`` is a path, read as UTF-8 after an optional byte order mark,
+    or an open text stream. Row numbers in error messages are 1-based data
+    rows (the header is row 0). Columns beyond the mapped four are ignored.
+    The data lines are parsed in one C pass (``np.loadtxt``) where it reads
+    them as the csv module does, and otherwise cell by cell with the csv
+    module (see ``_load_numbers``).
     """
     columns = columns or ColumnMap()
     if isinstance(source, (str, os.PathLike)):
         inferred = os.path.basename(os.fspath(source))
-        with open(source, newline="", encoding="utf-8") as stream:
+        with open(source, newline="", encoding="utf-8-sig") as stream:
             return _read_stream(stream, columns, delimiter, name or inferred)
     return _read_stream(source, columns, delimiter, name or "dataset")
 
@@ -139,6 +142,7 @@ def _read_stream(stream: Iterable[str], columns: ColumnMap, delimiter: str,
     """Read the header with csv.reader, then the four wanted columns: in
     one C pass (``_load_numbers``) where it can, else by the per-cell csv
     re-read, the one path that names the first bad row and cell."""
+    import numpy as np
     lines = iter(stream)
     try:
         header = next(csv.reader(lines, delimiter=delimiter), None)
@@ -193,6 +197,7 @@ def _load_numbers(body: list[str], indices: list[int],
     on a non-finite value, and on a body with no non-empty line, on which
     loadtxt would warn.
     """
+    import numpy as np
     text = "".join(body)
     if any(char in text for char in _CSV_ONLY) or not text.strip("\r\n"):
         return None
@@ -213,6 +218,7 @@ def compute_params(ds: MeasuredDataset, n_for_theory: int) -> PopulationParams:
     size the theory should be evaluated at; it is independent of the number
     of dataset rows.
     """
+    import numpy as np
     # one contiguous row per column: an axis-1 reduction sums each row
     # pairwise, as np.mean and np.var sum a 1-D array, so every moment has
     # the bits of the per-column calls. A moment beyond the float range

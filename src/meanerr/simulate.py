@@ -28,16 +28,19 @@ Replicates where an estimator lands in its domain hazard (or overflows) are
 excluded from that estimator's averages and surfaced through
 ``replicates_skipped``; for every benchmark scenario the hazard region is
 tens of standard deviations away and the counter stays at zero.
+
+numpy is imported inside the functions that draw or reduce arrays, once per
+block or chunk, not at module load: the CLI imports this module for every
+command, and only ``simulate`` needs the engine.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .estimators import (
     Estimator,
@@ -58,8 +61,9 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
-# Largest run whose two float64 arrays of replicate means numpy can index.
-_MAX_REPLICATES = np.iinfo(np.intp).max // 8
+# Largest run whose two float64 arrays of replicate means numpy can index:
+# sys.maxsize is the largest np.intp, and numpy is not loaded at import.
+_MAX_REPLICATES = sys.maxsize // 8
 # Doubles drawn per block, 4n per replicate: 32 replicates at n = 200, 640
 # at n = 10, and one at any n above 6400. Up to n = 6400 the block, its
 # contiguous copy and one temporary take about 0.5 MiB; the traced peak of
@@ -170,6 +174,7 @@ class SimulationResult:
 def _substream(seed: int, replicate_index: int) -> np.random.Generator:
     # counter-based substream: the replicate index occupies the high counter
     # words, leaving 2**128 draws of headroom inside each replicate
+    import numpy as np
     return np.random.Generator(
         np.random.Philox(key=seed, counter=replicate_index << 128))
 
@@ -236,6 +241,7 @@ def _observed_block(config: SimulationConfig, rng: np.random.Generator,
     ``*`` commute, so ``z * s + mu`` is ``mu + s * z``), and every value
     equals the one a single-replicate draw gives.
     """
+    import numpy as np
     p = config.params
     n = p.n
     fill, error_scale = _row_filler(config, rng)
@@ -292,6 +298,7 @@ def draw_replicate(config: SimulationConfig,
 
 
 def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     reps = config.replicates
     ybars = np.empty(reps)
     xbars = np.empty(reps)
@@ -323,6 +330,7 @@ def _exact_parts(block: np.ndarray, parts: list[list]) -> None:
     would leave the float range, or that holds an inf, appends its values
     themselves. Parts of several blocks merge by list concatenation.
     """
+    import numpy as np
     shift = (block.shape[1] + 1).bit_length() + 1
     peaks = np.maximum(block.max(axis=1), -block.min(axis=1))
     raw = ~(peaks < 2.0 ** (1023 - shift))
@@ -348,6 +356,7 @@ def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
     """Over one chunk of replicates, each spec's deviations from ``mu_y``
     and their squares, two ``(k, width)`` arrays with 0.0 where a replicate
     is skipped, and the ``(k, width)`` mask of the replicates used."""
+    import numpy as np
     shape = (len(specs), ybars.size)
     deviations = np.zeros(shape)
     mask = np.empty(shape, dtype=bool)
@@ -392,6 +401,7 @@ def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
     replicates are all skipped, or whose moments leave the float range,
     raises.
     """
+    import numpy as np
     reps = ybars.size
     k = len(specs)
     chunks = [(start, min(start + _CHUNK, reps))

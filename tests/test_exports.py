@@ -1,9 +1,14 @@
-"""Every name the package and its submodules export resolves, and the
-layering of the engine and the CLI holds."""
+"""Every name the package and its submodules export resolves, the
+layering of the engine and the CLI holds, and the theory path runs without
+numpy."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +64,88 @@ def imported_names(module):
 def test_import_layering(module, forbidden):
     imported = imported_names(module)
     assert imported.isdisjoint(forbidden), imported & forbidden
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_no_module_imports_numpy_at_load(module):
+    # numpy is imported inside the functions that build arrays, so that
+    # params, theory on a preset and --help never load it
+    source = Path(meanerr.__file__).with_name(f"{module}.py").read_text(
+        encoding="utf-8")
+    top_level = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            top_level.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            top_level.update(alias.name for alias in node.names)
+    assert {name for name in top_level
+            if name.split(".")[0] == "numpy"} == set()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+_PRESET = ["--preset", "gujarati-table1"]
+# Command lines that need no array: after each, numpy must still be out of
+# sys.modules. The last two are --help and a usage error.
+_LIGHT = ([[command, *_PRESET, "--format", fmt]
+           for command in ("theory", "params")
+           for fmt in ("md", "csv", "json")]
+          + [["theory", "--help"], ["theory", *_PRESET, "--bogus"]])
+_LIGHT_CODES = [0] * 6 + [0, 1]
+# Command lines that do need numpy, run after the light ones in the same
+# process, with the golden file each must print.
+_HEAVY = {
+    "theory-data.csv": ["theory", "--data", str(GOLDEN / "units.csv"),
+                        "--n", "200", "--grid=1,1", "--grid=-1,0.5",
+                        "--format", "csv"],
+    "simulate-preset.csv": ["simulate", *_PRESET, "--replicates", "200",
+                            "--seed", "7", "--format", "csv"],
+}
+# Prints, as json, each step's exit code and whether numpy is loaded after
+# it, then the exit code and stdout of each heavy command line.
+_COLD_START = """
+import contextlib, io, json, sys
+
+light, heavy = json.loads(sys.argv[1])
+steps = []
+
+def step(name, code):
+    steps.append([name, code, "numpy" in sys.modules])
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # --help
+            code = exc.code
+    return code, out.getvalue()
+
+import meanerr
+step("import meanerr", None)
+from meanerr.cli import main
+step("import meanerr.cli", None)
+for argv in light:
+    step(" ".join(argv), run(argv)[0])
+print(json.dumps({"steps": steps, "heavy": [run(argv) for argv in heavy]}))
+"""
+
+
+def test_theory_path_loads_no_numpy_from_a_cold_start():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START,
+         json.dumps([_LIGHT, list(_HEAVY.values())])],
+        env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, encoding="utf-8", check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["steps"] == (
+        [["import meanerr", None, False], ["import meanerr.cli", None, False]]
+        + [[" ".join(argv), code, False]
+           for argv, code in zip(_LIGHT, _LIGHT_CODES)])
+    # the deferred imports work when the first array op loads numpy
+    for golden, (code, out) in zip(_HEAVY, report["heavy"]):
+        assert code == 0, golden
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes(), golden

@@ -46,10 +46,12 @@ _LAWS = {"gaussian": [], "uniform": ["--error-law", "uniform"],
 # n = 2 and n = 2000 from the preset and from the dataset; each error law
 # over replicates that cross engine block boundaries; the Gaussian and
 # Student-t laws over replicates that cross aggregation chunk boundaries;
-# and one table written two ways, with CRLF endings, a blank line, an
+# and one table written three ways, with CRLF endings, a blank line, an
 # extra column and a repeated header name (the last X is read):
-# units-crlf.csv holds numbers only, and units-quoted.csv puts the quoted
-# cell "a,b" in the unused id column. Both must print the same bytes.
+# units-crlf.csv holds numbers only, units-quoted.csv puts the quoted
+# cell "a,b" in the unused id column, and units-bom.csv is units-crlf.csv
+# after a UTF-8 byte order mark, as spreadsheet "CSV UTF-8" exports begin.
+# All three must print the same bytes.
 CSV_CASES = {
     "simulate-preset-uniform": ["simulate", *_PRESET, *_MONTE_CARLO,
                                 "--error-law", "uniform"],
@@ -69,7 +71,7 @@ CSV_CASES = {
     **{f"theory-data-{label}": ["theory", "--data",
                                 str(GOLDEN / f"units-{label}.csv"),
                                 "--n", "200", *_EDGE_GRID]
-       for label in ("crlf", "quoted")},
+       for label in ("crlf", "quoted", "bom")},
 }
 RUNS = ([(case, fmt) for case in sorted(CASES) for fmt in FORMATS]
         + [(case, "csv") for case in sorted(CSV_CASES)])
@@ -84,5 +86,6 @@ def test_output_matches_golden_file(case, fmt, capsys):
 
 
 def test_both_spellings_print_the_same_table():
-    assert ((GOLDEN / "theory-data-crlf.csv").read_bytes()
-            == (GOLDEN / "theory-data-quoted.csv").read_bytes())
+    crlf = (GOLDEN / "theory-data-crlf.csv").read_bytes()
+    for label in ("quoted", "bom"):
+        assert (GOLDEN / f"theory-data-{label}.csv").read_bytes() == crlf

@@ -81,6 +81,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(**base)
 
+    def test_replicate_bound_is_numpy_index_bound(self):
+        # the bound is written without numpy, which the module does not
+        # load at import; it must stay the numpy allocation bound
+        assert simulate._MAX_REPLICATES == np.iinfo(np.intp).max // 8
+
     def test_rejects_non_params(self):
         with pytest.raises(ConfigError):
             SimulationConfig(params={"n": 10}, replicates=100, seed=SEED)
