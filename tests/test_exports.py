@@ -85,13 +85,13 @@ def test_no_module_imports_numpy_at_load(module):
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 _PRESET = ["--preset", "gujarati-table1"]
-# Command lines that need no array: after each, numpy must still be out of
-# sys.modules. The last two are --help and a usage error.
-_LIGHT = ([[command, *_PRESET, "--format", fmt]
+# Command lines that need no array, with their exit codes: after each,
+# numpy must still be out of sys.modules. The last two are --help and a
+# usage error.
+_LIGHT = ([([command, *_PRESET, "--format", fmt], 0)
            for command in ("theory", "params")
            for fmt in ("md", "csv", "json")]
-          + [["theory", "--help"], ["theory", *_PRESET, "--bogus"]])
-_LIGHT_CODES = [0] * 6 + [0, 1]
+          + [(["theory", "--help"], 0), (["theory", *_PRESET, "--bogus"], 1)])
 # Command lines that do need numpy, run after the light ones in the same
 # process, with the golden file each must print.
 _HEAVY = {
@@ -136,15 +136,14 @@ def test_theory_path_loads_no_numpy_from_a_cold_start():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START,
-         json.dumps([_LIGHT, list(_HEAVY.values())])],
+         json.dumps([[argv for argv, _ in _LIGHT], list(_HEAVY.values())])],
         env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, encoding="utf-8", check=False)
+        encoding="utf-8", check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["steps"] == (
         [["import meanerr", None, False], ["import meanerr.cli", None, False]]
-        + [[" ".join(argv), code, False]
-           for argv, code in zip(_LIGHT, _LIGHT_CODES)])
+        + [[" ".join(argv), code, False] for argv, code in _LIGHT])
     # the deferred imports work when the first array op loads numpy
     for golden, (code, out) in zip(_HEAVY, report["heavy"]):
         assert code == 0, golden
