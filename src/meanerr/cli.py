@@ -185,10 +185,9 @@ def simulation_table(config: SimulationConfig,
     """
     plan = theory.row_plan(config.params, tuple(grid))
     specs = [entry.spec for entry in plan if entry.spec is not None]
-    # theory_mse comes from each spec, not from the breakdowns, whose totals
-    # are formed differently (re-summed legs, rearranged minima); it is taken
-    # before the run, so a theory overflow aborts before any draw
-    predicted = [theory.theory_mse(spec, config.params) for spec in specs]
+    # theory_mse is each row's plan total, the value the theory table prints
+    predicted = [entry.breakdown.total for entry in plan
+                 if entry.spec is not None]
     results = zip(run_monte_carlo(config, specs), predicted)
     rows = []
     worst_gap = 0.0
@@ -267,11 +266,12 @@ _RENDERERS = {"csv": _render_csv, "json": _render_json, "md": _render_markdown}
 
 
 def render_table(table: ReportTable, fmt: str) -> str:
-    """Render a table as 'csv', 'json', or 'md' text."""
+    """Render a table as 'csv', 'json', or 'md' text; ValueError on any
+    other format."""
     try:
         renderer = _RENDERERS[fmt]
     except KeyError:
-        raise _UsageError(f"unknown format {fmt!r}") from None
+        raise ValueError(f"unknown format {fmt!r}") from None
     return renderer(table)
 
 

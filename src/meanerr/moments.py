@@ -76,8 +76,6 @@ class MomentSet:
     var_xbar: float    # (sigma_x2 + sigma_v2) / n
     cov_yxbar: float   # rho * sigma_y * sigma_x / n
     ratio: float       # mu_y / mu_x
-    cv_y: float        # sigma_y / mu_y, coefficient of variation
-    cv_x: float        # sigma_x / mu_x
 
 
 def derive_moments(params: PopulationParams, *,
@@ -100,6 +98,4 @@ def derive_moments(params: PopulationParams, *,
         var_xbar=(params.sigma_x2 + sigma_v2) / n,
         cov_yxbar=params.rho * sigma_y * sigma_x / n,
         ratio=params.mu_y / params.mu_x,
-        cv_y=sigma_y / params.mu_y,
-        cv_x=sigma_x / params.mu_x,
     )

@@ -4,7 +4,7 @@ Each replicate draws a fresh bivariate-normal truth sample, contaminates it
 with independent mean-zero errors, and evaluates every requested estimator
 on the observed means; the first-order theory is left to the caller.
 Replicate i draws from its own counter-based Philox substream: key = seed,
-with i in the high counter words (``_substream``).
+with i in the high counter words (``_substream_state``).
 
 The engine makes one generator per run and resets it to the start of each
 replicate's substream by setting the counter word of one reused state;
@@ -171,21 +171,21 @@ class SimulationResult:
         return math.sqrt(max(var, 0.0) / used)
 
 
-def _substream(seed: int, replicate_index: int) -> np.random.Generator:
-    # counter-based substream: the replicate index occupies the high counter
-    # words, leaving 2**128 draws of headroom inside each replicate
+def _substream(seed: int) -> np.random.Generator:
+    # counter-based substreams: a replicate index occupies the high counter
+    # words (see _substream_state), leaving 2**128 draws of headroom inside
+    # each replicate; this generator starts at replicate 0
     import numpy as np
-    return np.random.Generator(
-        np.random.Philox(key=seed, counter=replicate_index << 128))
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _substream_state(seed: int) -> dict:
-    """The state ``_substream(seed, 0)`` starts from: key = seed, counter 0
+    """The state ``_substream(seed)`` starts from: key = seed, counter 0
     and an empty output buffer. Set ``["state"]["counter"][2]`` to a
     replicate index and assign the dict to a Philox bit generator's
     ``state`` to reset it to that replicate's substream; Philox is
-    counter-based, so the variates that follow are exactly those of the
-    fresh substream."""
+    counter-based, so the variates that follow are exactly those of a
+    fresh ``Philox(key=seed, counter=index << 128)``."""
     return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
@@ -292,8 +292,8 @@ def draw_replicate(config: SimulationConfig,
     if replicate_index >= _MAX_SEED:
         raise ConfigError(
             f"replicate_index must be below 2**64, got {replicate_index}")
-    y, x = _observed_block(config, _substream(config.seed, replicate_index),
-                           replicate_index, replicate_index + 1)
+    y, x = _observed_block(config, _substream(config.seed), replicate_index,
+                           replicate_index + 1)
     return y[0], x[0]
 
 
@@ -303,7 +303,7 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     ybars = np.empty(reps)
     xbars = np.empty(reps)
     # one generator for the run; _observed_block seeks it per replicate
-    rng = _substream(config.seed, 0)
+    rng = _substream(config.seed)
     rows = _block_rows(config.params.n)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)

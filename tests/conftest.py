@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -75,3 +76,77 @@ def population_params(draw, min_n: int = 2, max_n: int = 500) -> PopulationParam
         sigma_u2=draw(_finite(0.0, 1e4)),
         sigma_v2=draw(_finite(0.0, 1e4)),
     )
+
+
+# ------------------------------------------------------- rational first order
+# T = (w1 ybar + w2 (mu_x - xbar)) (1 - B d - A d^2), d = (xbar - mu_x)/mu_x,
+# is a polynomial in the deviations e = (ybar - mu_y, xbar - mu_x); only its
+# terms up to degree 2 enter the first order. A polynomial is a dict from
+# the exponent pair (i, j) of e_y^i e_x^j to its coefficient.
+
+def _times(p, q):
+    """The product of two polynomials, truncated after degree 2."""
+    out = {}
+    for (i, j), a in p.items():
+        for (k, l), b in q.items():
+            if i + j + k + l <= 2:
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + a * b
+    return out
+
+
+def rational_moments(m: MomentSet) -> MomentSet:
+    """``m`` with every field the exact rational value of its float."""
+    return MomentSet(**{f.name: Fraction(getattr(m, f.name))
+                        for f in dataclasses.fields(m)})
+
+
+def first_order(m: MomentSet, mu_y, w1, w2, B=0, A=0) -> tuple:
+    """(mse, bias) of T to first order, exact in rationals.
+
+    The float inputs are taken at their exact values, and mu_x as
+    mu_y / m.ratio, so the code's own ratio is used. With c0 = (w1 - 1)
+    mu_y and L, Q the degree-1 and degree-2 parts of T - mu_y, the first
+    order of E[(T - mu_y)^2] is c0^2 + E[L^2] + 2 c0 E[Q] and of the bias
+    c0 + E[Q]; the rest is O(1/n^2), or odd moments that vanish for
+    Gaussian means (Isserlis), so only the variances and the covariance of
+    the observed means enter.
+    """
+    mu_y, w1, w2, B, A = map(Fraction, (mu_y, w1, w2, B, A))
+    m = rational_moments(m)
+    mu_x = mu_y / m.ratio
+    front = {(0, 0): w1 * mu_y, (1, 0): w1, (0, 1): -w2}
+    bracket = {(0, 0): 1, (0, 1): -B / mu_x, (0, 2): -A / mu_x**2}
+    t = _times(front, bracket)
+    c0 = t.get((0, 0), 0) - mu_y
+    a, b = t.get((1, 0), 0), t.get((0, 1), 0)
+    second = {(2, 0): m.var_ybar, (1, 1): m.cov_yxbar, (0, 2): m.var_xbar}
+    e_l2 = a * a * m.var_ybar + 2 * a * b * m.cov_yxbar + b * b * m.var_xbar
+    e_q = sum(t.get(key, 0) * value for key, value in second.items())
+    return c0 * c0 + e_l2 + 2 * c0 * e_q, c0 + e_q
+
+
+def shipped_first_order(m: MomentSet, mu_y, w1, w2, B=0, A=0):
+    """The first-order MSE in the shipped cross-term convention, exact: the
+    oracle's value plus 4 w1 (w1 - 1) B ratio cov_yxbar."""
+    mse, _ = first_order(m, mu_y, w1, w2, B, A)
+    w1 = Fraction(w1)
+    return mse + (4 * w1 * (w1 - 1) * Fraction(B) * Fraction(m.ratio)
+                  * Fraction(m.cov_yxbar))
+
+
+def stationary_value(f):
+    """The value of the quadratic ``f(w1, w2)`` at its stationary point,
+    exact in rationals, from six of its values; None when the point is not
+    unique."""
+    c = f(0, 0)
+    a11 = (f(1, 0) + f(-1, 0)) / 2 - c
+    a22 = (f(0, 1) + f(0, -1)) / 2 - c
+    b1 = (f(-1, 0) - f(1, 0)) / 4
+    b2 = (f(0, -1) - f(0, 1)) / 4
+    a12 = (f(1, 1) - c - a11 - a22 + 2 * b1 + 2 * b2) / 2
+    det = a11 * a22 - a12 * a12
+    if det == 0:
+        return None
+    w1 = (a22 * b1 - a12 * b2) / det
+    w2 = (a11 * b2 - a12 * b1) / det
+    return c - b1 * w1 - b2 * w2

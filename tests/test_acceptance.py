@@ -46,15 +46,13 @@ from meanerr.moments import derive_moments
 from meanerr.simulate import ErrorLaw, SimulationConfig, run_monte_carlo
 from meanerr.theory import (
     first_order_bias,
-    mse_exp_ratio,
-    mse_power_exp_total,
     mse_quadratic,
-    mse_weighted_diff,
-    optimal_weighted_diff,
     regression_slope,
     row_plan,
     theory_mse,
 )
+
+from conftest import first_order
 
 PRESET = "gujarati-table1"
 GRID = ((1, 0.0), (0, 1.0), (1, 1.0), (1, -1.0))
@@ -115,7 +113,7 @@ def _benchmark_plan(params):
         biased("exp_ratio", Estimator(bracket=ExpBracket())),
         ("regression_diff", Estimator(1.0, regression_slope(m)), None),
     ]
-    opt = optimal_weighted_diff(m, mu_y)
+    opt = mse_quadratic(m, None).minimize(mu_y)
     plan.append(("weighted_diff_optimal", Estimator(opt.first, opt.second),
                  None))
     for alpha, beta in GRID:
@@ -235,8 +233,9 @@ def test_criterion_4_closed_form_optima_beat_grid_and_random_search():
     rng = np.random.default_rng(SWEEP_SEED)
 
     surfaces = []
-    opt = optimal_weighted_diff(m, mu_y)
-    surfaces.append((opt, lambda w1, w2: mse_weighted_diff(m, mu_y, w1, w2)))
+    plain = mse_quadratic(m, None)
+    surfaces.append((plain.minimize(mu_y),
+                     lambda w1, w2: plain.mse(mu_y, w1, w2)))
     for alpha, beta in GRID:
         quad = mse_quadratic(m, PowerExpBracket(alpha, beta))
         assert quad.positive_definite(mu_y)
@@ -364,22 +363,25 @@ def test_criterion_7_invariant_suite():
             nested = evaluate_at_means(Estimator(1.0, 0.0, bracket),
                                        ybars, xbars, mu_x)
             assert np.array_equal(nested, ybars * bracket(xbars, mu_x))
+            mse, _ = first_order(m, mu_y, 1, 0, bracket.linear,
+                                 bracket.quadratic)
             assert mse_quadratic(m, bracket).mse(mu_y, 1.0, 0.0) \
-                == pytest.approx(mse_power_exp_total(m, bracket), rel=1e-12)
+                == pytest.approx(float(mse), rel=1e-12)
 
         # Nesting: zero correction coefficients reduce the weighted family's
         # MSE to the weighted difference's MSE.
         zero = mse_quadratic(m, PowerExpBracket(0, 0.0))
         for w1, w2 in ((1.0, 0.5), (0.9, -0.3), (1.1, 0.0)):
             assert zero.mse(mu_y, w1, w2) \
-                == pytest.approx(mse_weighted_diff(m, mu_y, w1, w2),
+                == pytest.approx(mse_quadratic(m, None).mse(mu_y, w1, w2),
                                  rel=1e-12, abs=1e-12)
 
     # Monotonicity of the exp-ratio MSE in each error variance.
     for field in ("sigma_u2", "sigma_v2"):
         varied = [replace(base, **{field: value})
                   for value in (0.0, 9.0, 36.0, 100.0, 400.0)]
-        totals = [mse_exp_ratio(p, derive_moments(p)).total for p in varied]
+        totals = [theory_mse(Estimator(bracket=ExpBracket()), p)
+                  for p in varied]
         assert all(a < b for a, b in zip(totals, totals[1:])), field
 
     # Error-law invariance: theory_mse takes no error law, so one

@@ -14,7 +14,7 @@ import pytest
 
 from meanerr import cli, theory
 from meanerr.cli import DEFAULT_GRID, main
-from meanerr.estimators import PowerExpBracket
+from meanerr.estimators import ExpBracket, PowerExpBracket
 from meanerr.ingest import preset
 from meanerr.moments import derive_moments
 from meanerr.theory import SingularSystemError
@@ -442,6 +442,13 @@ class TestUsageAndHelp:
             capsys, ["params", "--preset", PRESET, "--n", "1"])
         assert code == 2
 
+    def test_render_table_rejects_unknown_format(self):
+        # argparse keeps the CLI from this path; a library caller gets the
+        # ValueError it can catch
+        table = cli.scenario_table(preset(PRESET), PRESET)
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            cli.render_table(table, "xml")
+
 
 class TestSharedParser:
     def test_parser_holds_no_state_between_calls(self, capsys):
@@ -536,8 +543,9 @@ class TestTheoryCommand:
                     row["total"]] == [entry.breakdown.without_me,
                                       entry.breakdown.me_contribution,
                                       entry.breakdown.total]
-        assert rows[1]["total"] == theory.mse_exp_ratio(params, m).total
-        opt = theory.optimal_weighted_diff(m, params.mu_y)
+        assert rows[1]["total"] == theory.mse_quadratic(
+            m, ExpBracket()).mse(params.mu_y, 1.0, 0.0)
+        opt = theory.mse_quadratic(m, None).minimize(params.mu_y)
         assert rows[3]["mean_weight"] == opt.first
         assert rows[3]["aux_weight"] == opt.second
         for row, (alpha, beta) in zip(rows[8:12], DEFAULT_GRID):
@@ -631,17 +639,27 @@ class TestTheoryCommand:
         assert len(json_rows(out)) == 12
 
     def test_singular_optimum_is_per_row(self, capsys, monkeypatch):
-        def explode(*args):
-            raise SingularSystemError("synthetic singularity")
+        # every quadratic with a bracket is made singular; the plan names
+        # the family in the note
+        class Singular(theory.MseQuadratic):
+            def minimize(self, mu_y):
+                raise SingularSystemError("synthetic singularity")
 
-        monkeypatch.setattr(theory.MseQuadratic, "minimize", explode)
+        real = theory.mse_quadratic
+
+        def quadratic(m, bracket):
+            quad = real(m, bracket)
+            return quad if bracket is None else Singular(**vars(quad))
+
+        monkeypatch.setattr(theory, "mse_quadratic", quadratic)
         code, out, _ = run_cli(
             capsys, ["theory", "--preset", PRESET, "--format", "json"])
         assert code == 0
         rows = json_rows(out)
         assert len(rows) == 12
         for row in rows[8:]:
-            assert row["note"] == "synthetic singularity"
+            assert row["note"] == ("normal equations for the weighted "
+                                   "power-exp family are singular")
             assert row["total"] is None
         assert rows[3]["total"] is not None
 
@@ -724,8 +742,8 @@ class TestSimulateCommand:
         rescaled = replace(preset(PRESET), n=50)
         assert rows[0]["theory_mse"] == \
             theory.row_plan(rescaled, ())[0].breakdown.total
-        opt = theory.optimal_weighted_diff(derive_moments(rescaled),
-                                           rescaled.mu_y)
+        opt = theory.mse_quadratic(derive_moments(rescaled),
+                                   None).minimize(rescaled.mu_y)
         assert rows[3]["mean_weight"] == opt.first
         assert rows[3]["aux_weight"] == opt.second
 
@@ -824,6 +842,26 @@ class TestSimulateCommand:
         assert code == 0
         assert out.startswith("## monte carlo")
         assert len(md_rows(out)) == 12
+
+    @pytest.mark.parametrize("source", [
+        ["--preset", PRESET, "--n", "10"],
+        ["--data", str(Path(__file__).parent / "golden" / "units.csv"),
+         "--n", "200", "--grid=1,1", "--grid=-1,0.5"],
+        ["--preset", PRESET, "--n", "2000"],
+    ], ids=["preset-n10", "units-n200", "preset-n2000"])
+    def test_theory_column_is_the_theory_total(self, capsys, source):
+        # both tables print one first-order value per row, bit for bit
+        code, theory_out, _ = run_cli(
+            capsys, ["theory", *source, "--format", "csv"])
+        assert code == 0
+        code, simulate_out, _ = run_cli(
+            capsys, ["simulate", *source, "--replicates", "100", "--seed",
+                     "5", "--format", "csv"])
+        assert code == 0
+        totals = [row["total"] for row in csv_rows(theory_out)]
+        assert [row["theory_mse"] for row in csv_rows(simulate_out)] \
+            == totals
+        assert all(totals)
 
 
 class TestConsoleEntryPoints:

@@ -8,6 +8,7 @@ formulas to those values.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,18 +20,14 @@ from meanerr.theory import (
     MseQuadratic,
     SingularSystemError,
     first_order_bias,
-    mse_exp_ratio,
-    mse_power_exp_total,
     mse_quadratic,
-    mse_weighted_diff,
-    optimal_weighted_diff,
     pre,
     regression_slope,
     row_plan,
     theory_mse,
 )
 
-from conftest import moment_pair, population_params
+from conftest import first_order, moment_pair, population_params
 
 PAIRS = [(1, 0), (0, 1), (1, 1), (1, -1)]
 EXP_RATIO = Estimator(bracket=ExpBracket())
@@ -51,6 +48,16 @@ def mean_per_unit(params):
     return plan_row(params, "mean_per_unit").breakdown
 
 
+def weighted_diff(m):
+    """The weighted difference's quadratic, the family's at B = A = 0."""
+    return mse_quadratic(m, None)
+
+
+def power_exp_total(m, mu_y, bracket):
+    """The power-exp estimator's first-order MSE: weights (1, 0)."""
+    return mse_quadratic(m, bracket).mse(mu_y, 1.0, 0.0)
+
+
 def exp_ratio_moment_form(m):
     """First-order MSE of the exponential ratio estimator in moment form:
     var_ybar + ratio^2 var_xbar / 4 - ratio cov_yxbar."""
@@ -68,8 +75,11 @@ class TestMeanPerUnit:
     @given(population_params())
     def test_decomposition_exact(self, params):
         v = mean_per_unit(params)
-        assert v.without_me == moment_pair(params)[1].var_ybar
-        assert v.total == v.without_me + v.me_contribution
+        m, m_free = moment_pair(params)
+        assert (v.without_me, v.total) == (m_free.var_ybar, m.var_ybar)
+        assert v.me_contribution == v.total - v.without_me
+        assert v.without_me + v.me_contribution == pytest.approx(
+            v.total, rel=1e-9)
         assert v.me_contribution >= 0.0
 
 
@@ -81,18 +91,18 @@ class TestExpRatio:
         assert b == pytest.approx(-0.032517364951486, rel=1e-12)
 
     def test_benchmark_mse(self, table_params):
-        mse = mse_exp_ratio(table_params, derive_moments(table_params))
+        mse = plan_row(table_params, "exp_ratio").breakdown
         assert mse.without_me == pytest.approx(25.947741551457518, rel=1e-12)
         assert mse.me_contribution == pytest.approx(4.102287197231834, rel=1e-12)
         assert mse.total == pytest.approx(30.050028748689352, rel=1e-12)
 
     @given(population_params())
-    def test_cv_form_equals_moment_form(self, params):
+    def test_quadratic_equals_moment_form(self, params):
         # two algebraically equal routes to the same total; the absolute
         # slack is the term-magnitude envelope, since both routes cancel
         # near-identical large terms when the total is close to zero
         m = derive_moments(params)
-        decomposed = mse_exp_ratio(params, derive_moments(params))
+        decomposed = plan_row(params, "exp_ratio").breakdown
         moment_form = exp_ratio_moment_form(m)
         envelope = (m.var_ybar + 0.25 * m.ratio**2 * m.var_xbar
                     + abs(m.ratio * m.cov_yxbar))
@@ -102,7 +112,7 @@ class TestExpRatio:
     @given(population_params(), st.floats(0.1, 1e4), st.floats(0.1, 1e4))
     def test_monotone_in_error_variances(self, params, du, dv):
         def total(p):
-            return mse_exp_ratio(p, derive_moments(p)).total
+            return theory_mse(EXP_RATIO, p)
 
         base = total(params)
         more_u = total(dataclasses.replace(
@@ -116,7 +126,7 @@ class TestExpRatio:
         # the exp ratio beats the mean per unit; with ratio * cov_yxbar > 0
         # that is ratio * var_xbar / cov_yxbar <= 4
         m = derive_moments(table_params)
-        assert (mse_exp_ratio(table_params, derive_moments(table_params)).total
+        assert (theory_mse(EXP_RATIO, table_params)
                 <= mean_per_unit(table_params).total)
         assert m.ratio * m.var_xbar / m.cov_yxbar == pytest.approx(
             1.258871526864795, rel=1e-12)
@@ -125,7 +135,7 @@ class TestExpRatio:
         # with rho = 0 the correction only adds variance
         params = dataclasses.replace(table_params, rho=0.0)
         assert derive_moments(params).cov_yxbar == 0.0
-        assert (mse_exp_ratio(params, derive_moments(params)).total
+        assert (theory_mse(EXP_RATIO, params)
                 > mean_per_unit(params).total)
 
 
@@ -139,12 +149,12 @@ class TestWeightedDifference:
 
     def test_regression_row_values(self, table_params):
         m = derive_moments(table_params)
-        total = mse_weighted_diff(m, table_params.mu_y, 1.0,
-                                  regression_slope(m))
+        total = weighted_diff(m).mse(table_params.mu_y, 1.0,
+                                     regression_slope(m))
         assert total == pytest.approx(13.917597410071942, rel=1e-12)
         m0 = derive_moments(table_params, error_free=True)
-        without = mse_weighted_diff(m0, table_params.mu_y, 1.0,
-                                    regression_slope(m0))
+        without = weighted_diff(m0).mse(table_params.mu_y, 1.0,
+                                        regression_slope(m0))
         assert without == pytest.approx(9.035971200000000, rel=1e-12)
 
     def test_regression_breakdown_matches_composition(self, table_params):
@@ -156,18 +166,19 @@ class TestWeightedDifference:
     def test_slope_minimizes_over_aux_weight(self, table_params):
         m = derive_moments(table_params)
         slope = regression_slope(m)
-        at_slope = mse_weighted_diff(m, table_params.mu_y, 1.0, slope)
+        quad = weighted_diff(m)
+        at_slope = quad.mse(table_params.mu_y, 1.0, slope)
         for h in (1e-3, 1e-2, 0.1):
-            assert mse_weighted_diff(m, table_params.mu_y, 1.0, slope + h) > at_slope
-            assert mse_weighted_diff(m, table_params.mu_y, 1.0, slope - h) > at_slope
+            assert quad.mse(table_params.mu_y, 1.0, slope + h) > at_slope
+            assert quad.mse(table_params.mu_y, 1.0, slope - h) > at_slope
 
     def test_mean_weight_one_aux_zero_is_plain_variance(self, table_params):
         m = derive_moments(table_params)
-        assert mse_weighted_diff(m, table_params.mu_y, 1.0, 0.0) == m.var_ybar
+        assert weighted_diff(m).mse(table_params.mu_y, 1.0, 0.0) == m.var_ybar
 
     def test_optimal_weights_benchmark(self, table_params):
-        opt = optimal_weighted_diff(derive_moments(table_params),
-                                    table_params.mu_y)
+        opt = weighted_diff(derive_moments(table_params)).minimize(
+            table_params.mu_y)
         assert opt.first == pytest.approx(0.999137851176772, rel=1e-9)
         assert opt.second == pytest.approx(0.592923687377982, rel=1e-9)
         assert opt.min_mse == pytest.approx(13.905598369842689, rel=1e-12)
@@ -175,8 +186,8 @@ class TestWeightedDifference:
     def test_min_mse_breakdown_benchmark(self, table_params):
         row = plan_row(table_params, "weighted_diff_optimal")
         bd = row.breakdown
-        opt = optimal_weighted_diff(derive_moments(table_params),
-                                    table_params.mu_y)
+        opt = weighted_diff(derive_moments(table_params)).minimize(
+            table_params.mu_y)
         assert (row.spec.mean_weight, row.spec.aux_weight) == (opt.first,
                                                                opt.second)
         assert opt.min_mse == bd.total
@@ -187,9 +198,9 @@ class TestWeightedDifference:
     def test_plugging_back_reproduces_minimum(self, params):
         # mu_y^2 is the dominant magnitude inside the plugged expression,
         # so the float-error envelope scales with it
-        m = derive_moments(params)
-        opt = optimal_weighted_diff(m, params.mu_y)
-        replug = mse_weighted_diff(m, params.mu_y, opt.first, opt.second)
+        quad = weighted_diff(derive_moments(params))
+        opt = quad.minimize(params.mu_y)
+        replug = quad.mse(params.mu_y, opt.first, opt.second)
         slack = 1e-9 * max(1.0, params.mu_y**2, abs(opt.min_mse))
         assert abs(replug - opt.min_mse) <= slack
 
@@ -197,26 +208,25 @@ class TestWeightedDifference:
            st.floats(-5.0, 5.0, allow_nan=False),
            st.floats(-5.0, 5.0, allow_nan=False))
     def test_optimum_beats_arbitrary_weights(self, params, w1, w2):
-        m = derive_moments(params)
-        opt = optimal_weighted_diff(m, params.mu_y)
-        anywhere = mse_weighted_diff(m, params.mu_y, w1, w2)
+        quad = weighted_diff(derive_moments(params))
+        opt = quad.minimize(params.mu_y)
+        anywhere = quad.mse(params.mu_y, w1, w2)
         slack = 1e-9 * max(1.0, abs(anywhere), params.mu_y**2)
         assert opt.min_mse <= anywhere + slack
 
     def test_rejects_non_finite_weights(self, table_params):
         m = derive_moments(table_params)
         with pytest.raises(ValueError):
-            mse_weighted_diff(m, table_params.mu_y, math.nan, 0.0)
+            weighted_diff(m).mse(table_params.mu_y, math.nan, 0.0)
         with pytest.raises(ValueError):
-            mse_weighted_diff(m, table_params.mu_y, 1.0, math.inf)
+            weighted_diff(m).mse(table_params.mu_y, 1.0, math.inf)
 
     def test_singular_system_raises(self):
         # degenerate hand-built moments: mu_y = 0 with perfectly aligned
         # variances make the normal-equation determinant vanish
-        m = MomentSet(var_ybar=1.0, var_xbar=1.0, cov_yxbar=1.0,
-                      ratio=1.0, cv_y=1.0, cv_x=1.0)
+        m = MomentSet(var_ybar=1.0, var_xbar=1.0, cov_yxbar=1.0, ratio=1.0)
         with pytest.raises(SingularSystemError):
-            optimal_weighted_diff(m, 0.0)
+            weighted_diff(m).minimize(0.0)
 
     @pytest.mark.parametrize("var, cov, mu_y", [
         # b1 b3 and b2^2 both overflow: the determinant is inf - inf = NaN
@@ -226,10 +236,10 @@ class TestWeightedDifference:
     ], ids=["nan-determinant", "overflowing-weight"])
     def test_non_finite_optimum_is_overflow(self, var, cov, mu_y):
         m = MomentSet(var_ybar=cov * cov / var, var_xbar=var, cov_yxbar=cov,
-                      ratio=1.0, cv_y=1.0, cv_x=1.0)
-        with pytest.raises(OverflowError, match="^optimal weights of the "
-                           "weighted difference leave the float range$"):
-            optimal_weighted_diff(m, mu_y)
+                      ratio=1.0)
+        with pytest.raises(OverflowError,
+                           match="^optimal weights leave the float range$"):
+            weighted_diff(m).minimize(mu_y)
 
 
 class TestCorrectionCoefficients:
@@ -254,6 +264,17 @@ class TestCorrectionCoefficients:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PowerExpBracket(math.inf, 0.0)
+
+    @pytest.mark.parametrize("alpha", range(-3, 4))
+    def test_shipped_quadratic_convention(self, alpha):
+        # the shipped A keeps alpha (alpha - 1) where the bracket's
+        # second-order Taylor coefficient has alpha (alpha - 1) / 2; the
+        # betas are dyadic, so the float coefficient is exact
+        half_alpha_term = Fraction(alpha * (alpha - 1), 2)
+        for beta in map(Fraction, (-2, -1.5, -0.25, 0, 0.5, 1, 1.75)):
+            taylor = half_alpha_term + alpha * beta / 2 + beta * (beta - 2) / 8
+            shipped = Fraction(PowerExpBracket(alpha, float(beta)).quadratic)
+            assert shipped - taylor == half_alpha_term
 
     @pytest.mark.parametrize("bracket", [
         ExpBracket(), PowerExpBracket(0, 0), PowerExpBracket(1, 0),
@@ -298,12 +319,13 @@ class TestPowerExpRatio:
     def test_beta_one_alpha_zero_matches_exp_ratio(self, params):
         # B = 1/2 either way, so the first-order MSEs coincide
         m = derive_moments(params)
-        assert mse_power_exp_total(m, PowerExpBracket(0.0, 1.0)) == \
-            pytest.approx(exp_ratio_moment_form(m), rel=1e-12)
+        assert power_exp_total(m, params.mu_y, PowerExpBracket(0.0, 1.0)) \
+            == pytest.approx(exp_ratio_moment_form(m), rel=1e-12)
 
     def test_alpha_zero_beta_zero_is_plain_variance(self, table_params):
         m = derive_moments(table_params)
-        assert mse_power_exp_total(m, PowerExpBracket(0.0, 0.0)) == m.var_ybar
+        assert power_exp_total(m, table_params.mu_y,
+                               PowerExpBracket(0.0, 0.0)) == m.var_ybar
         assert first_order_bias(power_exp(0.0, 0.0), m, table_params.mu_x,
                                 table_params.mu_y) == 0.0
 
@@ -387,8 +409,10 @@ class TestWeightedPowerExp:
         envelope = (m.var_ybar + (B * m.ratio)**2 * m.var_xbar
                     + 2.0 * abs(B * m.ratio * m.cov_yxbar)
                     + abs(quad.mean_lin))
+        unweighted, _ = first_order(m, params.mu_y, 1, 0, B,
+                                    bracket.quadratic)
         assert quad.mse(params.mu_y, 1.0, 0.0) == pytest.approx(
-            mse_power_exp_total(m, bracket), rel=1e-9, abs=1e-9 * envelope)
+            float(unweighted), rel=1e-9, abs=1e-9 * envelope)
 
     @given(population_params(),
            st.floats(-3.0, 3.0, allow_nan=False),
@@ -398,7 +422,7 @@ class TestWeightedPowerExp:
         m = derive_moments(params)
         quad = mse_quadratic(m, PowerExpBracket(0.0, 0.0))
         assert quad.mse(params.mu_y, w1, w2) == pytest.approx(
-            mse_weighted_diff(m, params.mu_y, w1, w2), rel=1e-12, abs=1e-12)
+            weighted_diff(m).mse(params.mu_y, w1, w2), rel=1e-12, abs=1e-12)
 
     def test_stationarity_of_minimum(self, table_params):
         m = derive_moments(table_params)
@@ -432,8 +456,8 @@ class TestWeightedPowerExp:
         # 1e200 its square leaves the float range in the minimum
         quad = MseQuadratic(mean_sq=1.0, aux_sq=1.0, cross=0.0,
                             mean_lin=0.0, aux_lin=aux_lin)
-        with pytest.raises(OverflowError, match="^optimal weights of the "
-                           "weighted power-exp family leave the float range$"):
+        with pytest.raises(OverflowError,
+                           match="^optimal weights leave the float range$"):
             quad.minimize(1.0)
 
     def test_mse_helper_matches_quadratic(self, table_params):
@@ -477,16 +501,16 @@ class TestPre:
     def test_benchmark_values(self, table_params):
         m = derive_moments(table_params)
         ref = mean_per_unit(table_params).total
-        assert pre(ref, mse_exp_ratio(table_params, m).total) == pytest.approx(
-            437.270796, abs=1e-6)
-        treg = mse_weighted_diff(m, table_params.mu_y, 1.0,
-                                 regression_slope(m))
+        mu_y = table_params.mu_y
+        assert pre(ref, theory_mse(EXP_RATIO, table_params)) == \
+            pytest.approx(437.270796, abs=1e-6)
+        treg = weighted_diff(m).mse(mu_y, 1.0, regression_slope(m))
         assert pre(ref, treg) == pytest.approx(944.128474, abs=1e-6)
-        opt = optimal_weighted_diff(m, table_params.mu_y)
+        opt = weighted_diff(m).minimize(mu_y)
         assert pre(ref, opt.min_mse) == pytest.approx(944.943155, abs=1e-6)
         for pair, unweighted, weighted in PRE_BENCHMARK[4:]:
             bracket = PowerExpBracket(*pair)
-            assert pre(ref, mse_power_exp_total(m, bracket)
+            assert pre(ref, power_exp_total(m, mu_y, bracket)
                        ) == pytest.approx(unweighted, abs=1e-6)
             opt = mse_quadratic(m, bracket).minimize(table_params.mu_y)
             assert pre(ref, opt.min_mse) == pytest.approx(weighted, abs=1e-6)
@@ -512,7 +536,7 @@ class TestRescaledScenario:
 
     def test_optimal_weighted_diff(self, table_params):
         params = dataclasses.replace(table_params, n=200)
-        opt = optimal_weighted_diff(derive_moments(params), params.mu_y)
+        opt = weighted_diff(derive_moments(params)).minimize(params.mu_y)
         assert opt.first == pytest.approx(0.999956857223119, rel=1e-9)
         assert opt.second == pytest.approx(0.593409714490670, rel=1e-9)
         assert opt.min_mse == pytest.approx(0.695849848313608, rel=1e-12)
@@ -526,7 +550,7 @@ class TestRescaledScenario:
     def test_power_exp(self, table_params, pair, total, bias):
         params = dataclasses.replace(table_params, n=200)
         m = derive_moments(params)
-        assert mse_power_exp_total(m, PowerExpBracket(*pair)) == \
+        assert power_exp_total(m, params.mu_y, PowerExpBracket(*pair)) == \
             pytest.approx(total, rel=1e-12)
         assert first_order_bias(power_exp(*pair), m, params.mu_x,
                                 params.mu_y) == pytest.approx(bias, rel=1e-9)
@@ -559,9 +583,9 @@ class TestDispatcher:
         pe = PowerExpBracket(1.0, 1.0)
         cases = [
             (Estimator(), mean_per_unit(table_params).total),
-            (EXP_RATIO, mse_exp_ratio(table_params, m).total),
+            (EXP_RATIO, plan_row(table_params, "exp_ratio").breakdown.total),
             (Estimator(0.9, 0.4),
-             mse_weighted_diff(m, table_params.mu_y, 0.9, 0.4)),
+             weighted_diff(m).mse(table_params.mu_y, 0.9, 0.4)),
             (Estimator(bracket=pe),
              plan_row(table_params, "power_exp", (1, 1)).breakdown.total),
             (Estimator(0.9, -0.4, pe),
@@ -575,8 +599,8 @@ class TestDispatcher:
 
     def test_uncorrelated_regression_row_is_mean_per_unit(self, table_params):
         # at rho = 0 the regression slope is 0, so the regression_diff spec
-        # is the mean per unit's and takes its re-summed total, which may
-        # differ by one ulp from the weighted difference's formula when
+        # is the mean per unit's; both rows and theory_mse keep the total as
+        # computed, which re-summing the legs would move by one ulp when
         # sigma_u2 > sigma_y2
         params = dataclasses.replace(table_params, rho=0.0, sigma_y2=1.0,
                                      sigma_u2=3.7)
@@ -584,11 +608,13 @@ class TestDispatcher:
         spec = plan["regression_diff"].spec
         assert spec == plan["mean_per_unit"].spec == Estimator()
         total = theory_mse(spec, params)
-        assert total == plan["mean_per_unit"].breakdown.total
-        formula = mse_weighted_diff(derive_moments(params), params.mu_y,
-                                    1.0, 0.0)
-        assert total == 0.47 and formula == 0.47000000000000003
-        assert abs(total - formula) == math.ulp(formula)
+        breakdown = plan["mean_per_unit"].breakdown
+        assert total == breakdown.total \
+            == plan["regression_diff"].breakdown.total
+        assert total == derive_moments(params).var_ybar == 0.47000000000000003
+        resummed = breakdown.without_me + breakdown.me_contribution
+        assert resummed == 0.47
+        assert abs(total - resummed) == math.ulp(total)
 
     @given(population_params(), st.sampled_from(PAIRS))
     @settings(max_examples=30)
