@@ -17,11 +17,13 @@ Three subcommands share one source-resolution and rendering pipeline:
     empirical bias and MSE next to the first-order theory value with the
     relative gap per row.
 
-Exit codes: 0 success, 1 usage error, 2 any input the program cannot
-evaluate (bad data or configuration, a file that is not UTF-8, a run too
-large to allocate, theory beyond the float range), 3 tolerance failure
-(``simulate --tolerance`` exceeded).  An optimum that is singular or
-beyond the float range blanks its own row and says why in its note.
+Exit codes: 0 success, 1 usage error, 2 input where no row survives (bad
+data or configuration, a non-finite sample, a file that is not UTF-8, a
+run too large to allocate, a mean, ratio or weight whose square leaves the
+float range, a PRE reference that is not a positive float), 3 tolerance
+failure (``simulate --tolerance`` exceeded).  A cell that is not a finite
+float is blank, named in its row's note in place of any other note; an
+optimum that is singular or beyond the float range blanks its whole row.
 Output is a pure function of the flag set.
 """
 
@@ -93,13 +95,18 @@ _MD_FORMATS = {
 }
 
 
-# Notes on a row whose first-order total is zero or negative: the expansion
-# has left its range of validity there, and PRE (theory) and the relative
-# gap (simulate) are undefined.
+# Notes on a row whose first-order total is zero or negative (the expansion
+# has left its range of validity there, and PRE or the relative gap is
+# undefined), and on a row whose cells named after the colon are blank: the
+# cells below, the only ones that can be nan or inf.
 _NON_POSITIVE_NOTE = ("first-order mse is not positive: outside the "
                       "expansion's range, pre undefined")
 _NON_POSITIVE_GAP_NOTE = ("first-order mse is not positive: outside the "
                           "expansion's range, relative_gap undefined")
+_NOT_FINITE_NOTE = "not a finite float: "
+_THEORY_CHECKED = ("without_me", "me_contribution", "total", "pre")
+_SIMULATE_CHECKED = ("empirical_bias", "empirical_mse", "mc_se_mse",
+                     "theory_mse", "relative_gap")
 
 
 class _UsageError(Exception):
@@ -125,9 +132,9 @@ class ReportTable:
 
     Rows are mappings from column name to value (float, int, str, or None
     for a cell that does not apply to the row).  Invariants maintained by
-    the builders: every theory row satisfies total = without_me +
-    me_contribution within 1e-9 relative, and the mean-per-unit row's PRE
-    is exactly 100.0.
+    the builders: no float cell is nan or inf, every theory row with all
+    three legs satisfies total = without_me + me_contribution within 1e-9
+    relative, and the mean-per-unit row's PRE is exactly 100.0.
     """
 
     title: str
@@ -136,6 +143,15 @@ class ReportTable:
 
 
 # --------------------------------------------------------------- table builders
+
+def _blank_non_finite(row: dict, columns: tuple[str, ...]) -> None:
+    """Blank the nan and inf cells of ``columns``; the note names them."""
+    blank = [column for column in columns
+             if row[column] is not None and not math.isfinite(row[column])]
+    if blank:
+        row.update(dict.fromkeys(blank),
+                   note=_NOT_FINITE_NOTE + ", ".join(blank))
+
 
 def scenario_table(params: PopulationParams, source: str) -> ReportTable:
     """Single-row table of the eight population parameters."""
@@ -151,7 +167,7 @@ def theory_table(params: PopulationParams,
 
     PRE is taken against the mean-per-unit row. A row whose first-order
     total is not positive keeps its legs and total, but its PRE is left
-    empty and the note says why.
+    empty and the note says why; a blank nan or inf cell is named instead.
     """
     plan = theory.row_plan(params, tuple(grid))
     reference = plan[0].breakdown.total
@@ -159,15 +175,17 @@ def theory_table(params: PopulationParams,
     for entry in plan:
         row = dict.fromkeys(_THEORY_COLUMNS)
         row.update(entry.cells, estimator=entry.label, note=entry.note)
-        if entry.breakdown is not None:
-            total = entry.breakdown.total
-            row.update(without_me=entry.breakdown.without_me,
-                       me_contribution=entry.breakdown.me_contribution,
-                       total=total)
-            if total > 0:
-                row["pre"] = theory.pre(reference, total)
-            else:
+        legs = entry.breakdown
+        if legs is not None:
+            row.update(vars(legs))
+            if 0 < legs.total < math.inf:
+                row["pre"] = theory.pre(reference, legs.total)
+            elif legs.total <= 0:
                 row["note"] = _NON_POSITIVE_NOTE
+            # me_contribution is finite only where both legs are
+            if not math.isfinite(legs.me_contribution) or (
+                    row["pre"] == math.inf):
+                _blank_non_finite(row, _THEORY_CHECKED)
         rows.append(row)
     return ReportTable(title=f"first-order mse comparison (n={params.n})",
                        columns=_THEORY_COLUMNS, rows=tuple(rows))
@@ -180,33 +198,34 @@ def simulation_table(config: SimulationConfig,
 
     Optimal coefficients and theory values are both taken at
     ``config.params``, the scenario the replicates are drawn from. A row
-    whose first-order MSE is not positive gets no relative gap, a note that
-    says why, and is left out of the worst gap.
+    whose first-order MSE is not a positive float gets no relative gap and
+    stays out of the worst gap, with a note where it is not positive. Else
+    a gap that is not finite is unbounded; a blank nan or inf cell is named.
     """
     plan = theory.row_plan(config.params, tuple(grid))
     specs = [entry.spec for entry in plan if entry.spec is not None]
-    # theory_mse is each row's plan total, the value the theory table prints
-    predicted = [entry.breakdown.total for entry in plan
-                 if entry.spec is not None]
-    results = zip(run_monte_carlo(config, specs), predicted)
+    results = iter(run_monte_carlo(config, specs))
     rows = []
     worst_gap = 0.0
     for entry in plan:
         row = dict.fromkeys(_SIMULATE_COLUMNS)
         row.update(entry.cells, estimator=entry.label, note=entry.note)
         if entry.spec is not None:
-            result, theory_mse = next(results)
+            result = next(results)
+            # the row's plan total, the value the theory table prints
+            theory_mse = entry.breakdown.total
             gap = None
-            if theory_mse > 0:
+            if 0 < theory_mse < math.inf:
                 gap = abs(result.empirical_mse - theory_mse) / theory_mse
-                worst_gap = max(worst_gap, gap)
-            else:
+                worst_gap = max(worst_gap, gap if gap < math.inf else math.inf)
+            elif theory_mse <= 0:
                 row["note"] = _NON_POSITIVE_GAP_NOTE
             # the empirical columns carry the result's field names; its
             # estimator field gives way to the row label. vars() copies the
             # fields shallowly, where asdict would deep-copy the estimator
             row.update(vars(result), estimator=entry.label,
                        theory_mse=theory_mse, relative_gap=gap)
+            _blank_non_finite(row, _SIMULATE_CHECKED)
         rows.append(row)
     title = (f"monte carlo (n={config.params.n}, "
              f"replicates={config.replicates}, seed={config.seed}, "

@@ -52,7 +52,6 @@ from .moments import PopulationParams
 
 __all__ = [
     "ConfigError",
-    "AllReplicatesSkippedError",
     "ErrorLaw",
     "SimulationConfig",
     "SimulationResult",
@@ -81,10 +80,6 @@ _CHUNK = 4096
 
 class ConfigError(ValueError):
     """Raised for invalid simulation configuration."""
-
-
-class AllReplicatesSkippedError(ValueError):
-    """Raised when every replicate hit an estimator's domain hazard."""
 
 
 class ErrorLaw(Enum):
@@ -148,7 +143,9 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class SimulationResult:
     """Empirical moments of one estimator across the used replicates; no
-    theory value rides along."""
+    theory value rides along. A moment is nan when no replicate was used
+    (``mc_se_mse`` also when one was) and inf when a square or SE term
+    leaves the float range; the CLI's tables blank it and name it."""
 
     estimator: Estimator
     empirical_bias: float
@@ -360,8 +357,8 @@ def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
     shape = (len(specs), ybars.size)
     deviations = np.zeros(shape)
     mask = np.empty(shape, dtype=bool)
-    # a finite value far from mu_y, or its square, can leave the float
-    # range: the spec's sums then do too, and raise one named OverflowError
+    # a finite value far from mu_y can square past the float range: the
+    # spec's MSE is then inf, and numpy stays silent
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for spec, row, ok in zip(specs, deviations, mask):
             values = evaluate_at_means(spec, ybars, xbars, mu_x)
@@ -373,20 +370,16 @@ def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
 
 
 def _mean(parts: list, count: int) -> float:
-    """The exactly rounded sum of ``parts`` over ``count``, inf where the
-    sum leaves the float range.
-
-    math.fsum raises OverflowError when its terms sum past the float range,
-    and near that limit it can also raise "intermediate overflow" on a
-    finite sum of terms of mixed sign. The engine never gets that far: a
-    deviation above about 1.3e154 makes its square infinite, and the
-    squares and SE terms are non-negative, so no partial sum passes their
-    total (the lower level sums of ``_exact_parts`` are far below it).
-    """
+    """The exactly rounded sum of ``parts`` over ``count``: nan for no
+    part, inf only where a part is. Where math.fsum overflows (or raises
+    "intermediate overflow" on a finite sum of mixed signs), it sums the
+    parts scaled by 2**-64, which fewer than 2**64 floats cannot overflow."""
+    if not count:
+        return math.nan
     try:
         return math.fsum(parts) / count
     except OverflowError:
-        return math.inf
+        return math.fsum(part * 2.0**-64 for part in parts) / count * 2.0**64
 
 
 def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
@@ -397,18 +390,16 @@ def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
     The replicates are taken ``_CHUNK`` at a time. A first pass sums each
     spec's deviations and squares exactly; a second sums the SE terms
     (s - mse)**2, which need the MSE, re-evaluating every chunk but the
-    last, whose block is still at hand. The first spec in order whose
-    replicates are all skipped, or whose moments leave the float range,
-    raises.
+    last, whose block is still at hand. Every spec gets its result, as
+    ``SimulationResult`` says.
     """
     import numpy as np
     reps = ybars.size
-    k = len(specs)
     chunks = [(start, min(start + _CHUNK, reps))
               for start in range(0, reps, _CHUNK)]
     deviation_sums = [[] for _ in specs]
     square_sums = [[] for _ in specs]
-    used = np.zeros(k, dtype=np.int64)
+    used = np.zeros(len(specs), dtype=np.int64)
     for start, stop in chunks:
         deviations, squares, ok = _moment_block(
             specs, ybars[start:stop], xbars[start:stop], mu_y, mu_x)
@@ -417,13 +408,13 @@ def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
         _exact_parts(squares, square_sums)
     last = squares, ok
     counts = [int(count) for count in used]
-    bias = [_mean(parts, count) if count else math.nan
-            for parts, count in zip(deviation_sums, counts)]
-    mse = [_mean(parts, count) if count else math.nan
-           for parts, count in zip(square_sums, counts)]
+    bias = [_mean(parts, n) for parts, n in zip(deviation_sums, counts)]
+    mse = [_mean(parts, n) for parts, n in zip(square_sums, counts)]
 
-    need = [i for i, count in enumerate(counts) if count >= 2
-            and math.isfinite(bias[i]) and math.isfinite(mse[i])]
+    # the SE of an MSE beyond the float range is beyond it too
+    se_mse = [math.nan if count < 2 else math.inf for count in counts]
+    need = [i for i, count in enumerate(counts)
+            if count >= 2 and mse[i] < math.inf]
     se_sums = [[] for _ in need]
     if need:
         column = np.array([[mse[i]] for i in need])
@@ -438,29 +429,13 @@ def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
                 np.float_power(squares[need] - column, 2.0, out=terms,
                                where=ok[need])
             _exact_parts(terms, se_sums)
-    se_mse = [math.nan] * k
     for i, parts in zip(need, se_sums):
         se_mse[i] = math.sqrt(_mean(parts, counts[i] - 1) / counts[i])
-
-    results = []
-    for i, spec in enumerate(specs):
-        count = counts[i]
-        if count == 0:
-            raise AllReplicatesSkippedError(
-                f"all {reps} replicates hit the domain hazard of {spec!r}")
-        if not (math.isfinite(bias[i]) and math.isfinite(mse[i])
-                and (count < 2 or math.isfinite(se_mse[i]))):
-            raise OverflowError(
-                f"Monte Carlo moments of {spec!r} leave the float range")
-        results.append(SimulationResult(
-            estimator=spec,
-            empirical_bias=bias[i],
-            empirical_mse=mse[i],
-            mc_se_mse=se_mse[i],
-            replicates_used=count,
-            replicates_skipped=reps - count,
-        ))
-    return results
+    return [SimulationResult(estimator=spec, empirical_bias=bias[i],
+                             empirical_mse=mse[i], mc_se_mse=se_mse[i],
+                             replicates_used=counts[i],
+                             replicates_skipped=reps - counts[i])
+            for i, spec in enumerate(specs)]
 
 
 def run_monte_carlo(config: SimulationConfig,
@@ -468,8 +443,8 @@ def run_monte_carlo(config: SimulationConfig,
     """Estimate bias and MSE for each spec over shared replicate draws.
 
     Every estimator sees the same replicate means, so cross-estimator
-    comparisons are paired. The results carry empirical moments only; set
-    ``theory.theory_mse(spec, config.params)`` beside them.
+    comparisons are paired. The results carry empirical moments only, one
+    per spec; ``cli.simulation_table`` sets the plan totals beside them.
     """
     ybars, xbars = _replicate_means(config)
     return _aggregate(specs, ybars, xbars, config.params.mu_y,

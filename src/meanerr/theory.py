@@ -136,8 +136,13 @@ class MseQuadratic:
         """Evaluate the quadratic at one weight pair."""
         _check_weights(mean_weight, aux_weight)
         w1, w2 = mean_weight, aux_weight
+        # w2 (w2 X) where w2**2, which raises past the float range, falls
+        # below the normal range (a slope under 1.5e-154) and loses bits
+        w2_sq = w2**2
+        aux = (w2_sq * self.aux_sq if w2_sq >= 2.0**-1022
+               else w2 * (w2 * self.aux_sq))
         return (((w1 - 1) * mu_y) ** 2 + w1**2 * self.mean_sq
-                + w2**2 * self.aux_sq + 2 * w1 * w2 * self.cross
+                + aux + 2 * w1 * w2 * self.cross
                 - 2 * w1 * self.mean_lin - 2 * w2 * self.aux_lin)
 
     def positive_definite(self, mu_y: float) -> bool:

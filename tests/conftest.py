@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from meanerr.estimators import Estimator, evaluate_at_means, hazard_free
 from meanerr.ingest import DatasetError
 from meanerr.moments import MomentSet, PopulationParams, derive_moments
+from meanerr.simulate import SimulationResult
 
 
 @pytest.fixture
@@ -150,3 +154,72 @@ def stationary_value(f):
     w1 = (a22 * b1 - a12 * b2) / det
     w2 = (a11 * b2 - a12 * b1) / det
     return c - b1 * w1 - b2 * w2
+
+
+# ------------------------------------------------- Monte Carlo reference
+
+# A --data table of study values near 1e150 over an auxiliary mean near 0:
+# the bracket rows' theory legs and several Monte Carlo moments leave the
+# float range, while the other rows print.
+WIDE_DATA = """Y,X,y,x
+1e+150,-99999999999.0,1e+150,-99999999999.0
+1.0000000000999999e+150,100000000001.0,1.0000000000999999e+150,100000000001.0
+1.0000000002e+150,-199999999999.0,1.0000000002e+150,-199999999999.0
+1.0000000003e+150,200000000001.0,1.0000000003e+150,200000000001.0
+1.0000000004e+150,-299999999999.0,1.0000000004e+150,-299999999999.0
+1.0000000005e+150,300000000001.0,1.0000000005e+150,300000000001.0
+"""
+
+
+def _reference_mean(values, count: int) -> float:
+    """``math.fsum(values) / count``; where the sum leaves the float range,
+    inf if a value is, else the exact sum scaled by 2**-64 and rounded
+    once, over ``count``, scaled back: the mean of finite values is then
+    finite."""
+    try:
+        return math.fsum(values) / count
+    except OverflowError:
+        if math.inf in values:
+            return math.inf
+        exact = sum(map(Fraction, values), Fraction(0))
+        return float(exact / 2**64) / count * 2.0**64
+
+
+def reference_result(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
+                     mu_y: float, mu_x: float) -> SimulationResult:
+    """The engine's result for one spec, from ``math.fsum`` over all its
+    used replicates at once: the aggregation of one spec as it was before
+    the chunked pass over all specs, with the rule that no spec raises. A
+    moment with no replicate is nan, one of an infinite square or SE term
+    is inf."""
+    reps = ybars.size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = evaluate_at_means(spec, ybars, xbars, mu_x)
+    ok = hazard_free(spec, xbars, mu_x) & np.isfinite(values)
+    used = int(np.count_nonzero(ok))
+    bias = mse = se_mse = math.nan
+    deviations = values[ok] - mu_y
+    # finite values far from mu_y can square past the float range, and
+    # numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = deviations * deviations
+        if used:
+            bias = _reference_mean(deviations.tolist(), used)
+            mse = _reference_mean(squares.tolist(), used)
+        if used >= 2:
+            se_mse = math.inf
+            if mse < math.inf:
+                # float_power squares through libm pow, as the scalar
+                # ``** 2`` of a numpy float does; ``** 2`` on the array and
+                # np.square multiply and can round the last bit differently
+                sq_var = _reference_mean(
+                    np.float_power(squares - mse, 2.0).tolist(), used - 1)
+                se_mse = math.sqrt(sq_var / used)
+    return SimulationResult(
+        estimator=spec,
+        empirical_bias=bias,
+        empirical_mse=mse,
+        mc_se_mse=se_mse,
+        replicates_used=used,
+        replicates_skipped=reps - used,
+    )

@@ -1,6 +1,6 @@
 """The engine's aggregation: exact row sums, and one chunked pass over all
 specs, against ``math.fsum`` and against the one-spec-at-a-time
-aggregation it replaced."""
+aggregation it replaced (``conftest.reference_result``)."""
 
 import dataclasses
 import math
@@ -11,76 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meanerr.estimators import (
-    Estimator,
-    ExpBracket,
-    PowerExpBracket,
-    evaluate_at_means,
-    hazard_free,
-)
-from meanerr.simulate import (
-    AllReplicatesSkippedError,
-    SimulationResult,
-    _CHUNK,
-    _aggregate,
-    _exact_parts,
-)
+from meanerr.estimators import Estimator, ExpBracket, PowerExpBracket
+from meanerr.simulate import _CHUNK, _aggregate, _exact_parts
+
+from conftest import reference_result
 
 DOUBLE_MAX = 1.7976931348623157e308
-
-
-# The reference: the aggregation of one spec as it was before the chunked
-# pass over all specs, verbatim.
-def _aggregate_spec(spec: Estimator, ybars: np.ndarray, xbars: np.ndarray,
-                    mu_y: float, mu_x: float) -> SimulationResult:
-    reps = ybars.size
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = evaluate_at_means(spec, ybars, xbars, mu_x)
-    ok = hazard_free(spec, xbars, mu_x) & np.isfinite(values)
-    used = int(np.count_nonzero(ok))
-    if used == 0:
-        raise AllReplicatesSkippedError(
-            f"all {reps} replicates hit the domain hazard of {spec!r}")
-
-    deviations = values[ok] - mu_y
-    # finite values far from mu_y can square past the float range: that
-    # raises one OverflowError below, and numpy stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = deviations * deviations
-        try:
-            # math.fsum is exactly rounded, hence independent of summation
-            # order. It raises OverflowError when the terms sum past the
-            # float range, and near that limit it can also raise
-            # "intermediate overflow" on a sum that is finite. The engine
-            # never gets that far: a deviation above about 1.3e154 makes
-            # its square infinite, which ends in the named error below,
-            # and the squares and SE terms are non-negative, so no partial
-            # sum passes their total.
-            bias = math.fsum(deviations.tolist()) / used
-            mse = math.fsum(squares.tolist()) / used
-            se_mse = math.nan
-            if used >= 2:
-                # float_power squares through libm pow, as the scalar ``** 2``
-                # of a numpy float does; ``** 2`` on the array and np.square
-                # multiply instead and can round the last bit differently
-                sq_var = math.fsum(
-                    np.float_power(squares - mse, 2.0).tolist()) / (used - 1)
-                se_mse = math.sqrt(sq_var / used)
-            finite = (math.isfinite(bias) and math.isfinite(mse)
-                      and (used < 2 or math.isfinite(se_mse)))
-        except OverflowError:
-            finite = False
-    if not finite:
-        raise OverflowError(
-            f"Monte Carlo moments of {spec!r} leave the float range")
-    return SimulationResult(
-        estimator=spec,
-        empirical_bias=bias,
-        empirical_mse=mse,
-        mc_se_mse=se_mse,
-        replicates_used=used,
-        replicates_skipped=reps - used,
-    )
 
 
 def bits(value):
@@ -88,12 +24,8 @@ def bits(value):
     return struct.pack("<d", value) if isinstance(value, float) else value
 
 
-def outcome(aggregate):
-    """Every field of every result, or the type and message raised."""
-    try:
-        results = aggregate()
-    except (AllReplicatesSkippedError, OverflowError) as error:
-        return type(error), str(error)
+def outcome(results):
+    """Every field of every result."""
     return [[bits(getattr(result, field.name))
              for field in dataclasses.fields(result)]
             for result in results]
@@ -117,7 +49,7 @@ SPECS = (
 
 def scaled_case(size, scale, seed):
     """Means at ``scale`` with xbar <= 0 about one time in eighty, and the
-    specs in a seed-drawn order, so a different spec raises first."""
+    specs in a seed-drawn order."""
     rng = np.random.default_rng(seed)
     ybars = scale * (1.0 + 0.3 * rng.standard_normal(size))
     xbars = scale * (1.0 + 0.45 * rng.standard_normal(size))
@@ -126,9 +58,9 @@ def scaled_case(size, scale, seed):
 
 
 def ordered_case(size, skipped_first, seed):
-    """Every xbar <= 0, so the fractional power skips every replicate,
-    beside a mean per unit whose squares overflow: whichever comes first
-    in the spec order decides what is raised."""
+    """Every xbar <= 0, so the fractional power skips every replicate (nan
+    moments), beside a mean per unit whose squares overflow (inf MSE), in
+    either order: neither stops the other's result."""
     rng = np.random.default_rng(seed)
     ybars = 1e200 * (1.0 + 0.3 * rng.standard_normal(size))
     xbars = -rng.uniform(0.5, 2.0, size)
@@ -138,21 +70,33 @@ def ordered_case(size, skipped_first, seed):
     return [Estimator(0.0, 1.0), *specs], ybars, xbars, 0.0, 1.0
 
 
+def huge_case(size, scale, seed):
+    """Study means of both signs near ``scale``, where the sums of the
+    squares (1.3e154) or of the deviations themselves (1.7e308) leave the
+    float range while their means do not."""
+    rng = np.random.default_rng(seed)
+    signs = rng.choice((-1.0, 1.0), size)
+    ybars = scale * signs * rng.uniform(0.9, 1.0, size)
+    xbars = 1.0 + 0.01 * rng.standard_normal(size)
+    return [Estimator(), Estimator(1.0, -0.4)], ybars, xbars, 0.0, 1.0
+
+
 CASES = (
     [pytest.param(scaled_case, size, scale, id=f"{size}-{scale:g}")
      for size in SIZES for scale in SCALES]
     + [pytest.param(ordered_case, size, first,
                     id=f"{size}-{'skip' if first else 'overflow'}-first")
-       for size in (1, 2, _CHUNK + 1) for first in (True, False)])
+       for size in (1, 2, _CHUNK + 1) for first in (True, False)]
+    + [pytest.param(huge_case, size, scale, id=f"{size}-huge-{scale:g}")
+       for size in (2, 13, _CHUNK + 1) for scale in (1.3e154, 1.7e308)])
 
 
 @pytest.mark.parametrize("make,size,arg", CASES)
 def test_matches_one_spec_at_a_time(make, size, arg):
     specs, ybars, xbars, mu_y, mu_x = make(size, arg, seed=size)
-    expected = outcome(lambda: [_aggregate_spec(spec, ybars, xbars, mu_y,
-                                                mu_x) for spec in specs])
-    assert outcome(lambda: _aggregate(specs, ybars, xbars, mu_y,
-                                      mu_x)) == expected
+    expected = outcome([reference_result(spec, ybars, xbars, mu_y, mu_x)
+                        for spec in specs])
+    assert outcome(_aggregate(specs, ybars, xbars, mu_y, mu_x)) == expected
 
 
 def fsum_outcome(values):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -15,11 +16,12 @@ import pytest
 from meanerr import cli, theory
 from meanerr.cli import DEFAULT_GRID, main
 from meanerr.estimators import ExpBracket, PowerExpBracket
-from meanerr.ingest import preset
-from meanerr.moments import derive_moments
-from meanerr.theory import SingularSystemError
+from meanerr.ingest import ColumnMap, compute_params, load_dataset, preset
+from meanerr.moments import PopulationParams, derive_moments
+from meanerr.simulate import SimulationConfig, _replicate_means
+from meanerr.theory import MseBreakdown, SingularSystemError
 
-from conftest import params_from_dict
+from conftest import WIDE_DATA, params_from_dict, reference_result
 
 PRESET = "gujarati-table1"
 
@@ -316,16 +318,21 @@ class TestVarianceProductOutOfRange:
                      "--format", "csv"])
         assert csv_rows(out)[0]["total"] == "4.999999999999999e+199"
 
-    def test_simulate_overflows_in_monte_carlo(self, capsys, tmp_path):
-        for text in (self.HUGE, self.HUGE_COV):
-            code, out, err = run_cli(
-                capsys, ["simulate", "--replicates", "100",
-                         "--data", self.write(tmp_path, text)])
-            assert (code, out) == (2, "")
-            assert err == (
-                "error: numerical overflow: Monte Carlo moments of "
-                "Estimator(mean_weight=1.0, aux_weight=0.0, bracket=None) "
-                "leave the float range\n")
+    def test_simulate_blanks_what_leaves_the_float_range(self, capsys,
+                                                         tmp_path):
+        # the squared deviations from the SE's MSE (every row) or the
+        # squares themselves (HUGE_COV's bracket rows) overflow: those
+        # cells are blank and named, and every other row prints
+        for text, blanked_mse in ((self.HUGE, 0), (self.HUGE_COV, 4)):
+            path = self.write(tmp_path, text)
+            outs = outputs(capsys, ["simulate", "--replicates", "100",
+                                    "--data", path])
+            params = compute_params(load_dataset(path, ColumnMap()),
+                                    text.count("\n") - 1)
+            expected = reference_simulate_rows(params, DEFAULT_GRID, 100)
+            assert_simulate_rows(outs, expected)
+            assert sum(cells["empirical_mse"] == "" != cells["theory_mse"]
+                       for cells, _ in expected) == blanked_mse
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_underflowing_product_runs(self, capsys, tmp_path, command):
@@ -387,22 +394,6 @@ class TestUnevaluableInput:
             capsys, ["theory", "--data", str(path),
                      "--n", "100000000000000000000"])
 
-    # at n = 2 the power-exp bracket exp(beta (mu_x - xbar) / ...) reaches
-    # finite values whose squares (grid 1,1400) or whose squared deviations
-    # from the MSE (grid 1,700, the SE sum alone) leave the float range
-    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
-    @pytest.mark.parametrize("grid", ["--grid=1,1400", "--grid=1,700"])
-    def test_monte_carlo_overflow(self, capsys, grid, fmt):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(
-                capsys, ["simulate", "--preset", PRESET, "--n", "2", grid,
-                         "--replicates", "1000", "--format", fmt])
-        assert (code, out) == (2, "")
-        assert err.startswith("error: numerical overflow: Monte Carlo "
-                              "moments of Estimator(")
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("bug", [TypeError, KeyError, IndexError,
                                      AttributeError])
     def test_bug_propagates(self, monkeypatch, bug):
@@ -411,6 +402,199 @@ class TestUnevaluableInput:
         monkeypatch.setattr(cli, "theory_table", broken)
         with pytest.raises(bug):
             main(["theory", "--preset", PRESET])
+
+
+NOT_FINITE = "not a finite float: "
+SIMULATE_CHECKED = ("empirical_bias", "empirical_mse", "mc_se_mse",
+                    "theory_mse", "relative_gap")
+THEORY_LEGS = ("without_me", "me_contribution", "total")
+
+
+def no_constant(name):
+    raise AssertionError(f"json holds {name}")
+
+
+def assert_all_finite(fmt, out):
+    """No cell of a printed table is nan or inf."""
+    if fmt == "json":
+        rows = json.loads(out, parse_constant=no_constant)["rows"]
+    else:
+        rows = (csv_rows if fmt == "csv" else md_rows)(out)
+    for row in rows:
+        for cell in row.values():
+            assert str(cell).lower().lstrip("+-") not in ("nan", "inf"), row
+
+
+def outputs(capsys, argv, code=0, err=""):
+    """The output of ``argv`` in each format, each checked for its exit
+    code, its stderr, no warning, and no nan or inf cell."""
+    outs = {}
+    for fmt in ("md", "csv", "json"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_cli(capsys, [*argv, "--format", fmt])
+        assert got[0::2] == (code, err)
+        assert_all_finite(fmt, got[1])
+        outs[fmt] = got[1]
+    return outs
+
+
+def reference_simulate_rows(params, grid, replicates):
+    """Each plan row's checked simulate cells as csv prints them, and its
+    note, from the fsum reference over the engine's replicate means (seed
+    0): a cell that is not finite is blank, and the note names it in place
+    of the non-positive one."""
+    config = SimulationConfig(params=params, replicates=replicates, seed=0)
+    ybars, xbars = _replicate_means(config)
+    rows = []
+    for entry in theory.row_plan(params, grid):
+        if entry.spec is None:
+            rows.append((dict.fromkeys(SIMULATE_CHECKED, ""), entry.note))
+            continue
+        ref = reference_result(entry.spec, ybars, xbars, params.mu_y,
+                               params.mu_x)
+        total = entry.breakdown.total
+        gap = (abs(ref.empirical_mse - total) / total
+               if 0 < total < math.inf else None)
+        values = dict(zip(SIMULATE_CHECKED, (
+            ref.empirical_bias, ref.empirical_mse, ref.mc_se_mse, total,
+            gap)))
+        blank = [column for column, value in values.items()
+                 if value is not None and not math.isfinite(value)]
+        note = cli._NON_POSITIVE_GAP_NOTE if total <= 0 else ""
+        if blank:
+            note = NOT_FINITE + ", ".join(blank)
+        rows.append(({column: "" if value is None or column in blank
+                      else repr(value) for column, value in values.items()},
+                     note))
+    return rows
+
+
+def assert_simulate_rows(outs, expected):
+    """csv prints the reference cells and notes; md and json blank the same
+    cells and print the same notes."""
+    assert [({column: row[column] for column in SIMULATE_CHECKED},
+             row["note"]) for row in csv_rows(outs["csv"])] == expected
+    blanks = [([cells[column] == "" for column in SIMULATE_CHECKED], note)
+              for cells, note in expected]
+    for rows in (md_rows(outs["md"]), json_rows(outs["json"])):
+        assert [([row[column] in ("", None) for column in SIMULATE_CHECKED],
+                 row["note"]) for row in rows] == blanks
+
+
+class TestCellsItCannotForm:
+    """A number one row cannot form fails that row alone: the cell is blank
+    in every format, the row's note names it, and the command exits 0 (or 3
+    past --tolerance). Simulate cells are checked against the fsum
+    reference of ``conftest.reference_result``."""
+
+    SMALL_N = ["simulate", "--preset", PRESET, "--n", "2",
+               "--replicates", "1000"]
+
+    # at n = 2 the power-exp bracket exp(beta (mu_x - xbar) / ...) reaches
+    # finite values whose squares (grid 1,1400) or whose squared deviations
+    # from the MSE (grid 1,700, the SE sum alone) leave the float range
+    @pytest.mark.parametrize("beta, blanked", [
+        (1400, ["empirical_mse", "mc_se_mse", "relative_gap"]),
+        (700, ["mc_se_mse"])])
+    def test_monte_carlo_overflow(self, capsys, beta, blanked):
+        outs = outputs(capsys, [*self.SMALL_N, f"--grid=1,{beta}"])
+        params = replace(preset(PRESET), n=2)
+        expected = reference_simulate_rows(params, ((1, float(beta)),), 1000)
+        assert_simulate_rows(outs, expected)
+        assert [note for _, note in expected] == (
+            [""] * 4 + [NOT_FINITE + ", ".join(blanked)] * 2)
+
+    def test_unbounded_gap_exceeds_any_tolerance(self, capsys):
+        # an infinite empirical MSE against a finite positive theory value
+        outputs(capsys, [*self.SMALL_N, "--grid=1,1400", "--tolerance", "0.5"],
+                code=3, err="tolerance exceeded: worst relative gap inf > "
+                            "0.5\n")
+        # an SE beyond the float range alone keeps its gap in the gate
+        code, out, err = run_cli(
+            capsys, [*self.SMALL_N, "--grid=1,700", "--tolerance", "1e200",
+                     "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[-1]["relative_gap"] != ""
+
+    def test_wide_data(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(WIDE_DATA, encoding="utf-8")
+        params = compute_params(load_dataset(str(path), ColumnMap()), 6)
+        plan = theory.row_plan(params, DEFAULT_GRID)
+        theory_outs = outputs(capsys, ["theory", "--data", str(path)])
+        rows = csv_rows(theory_outs["csv"])
+        for row, entry in zip(rows, plan):
+            legs = entry.breakdown
+            if legs is None or math.isfinite(legs.me_contribution):
+                continue
+            blank = [leg for leg in THEORY_LEGS
+                     if not math.isfinite(getattr(legs, leg))]
+            assert row["note"] == NOT_FINITE + ", ".join(blank)
+            assert [row[leg] for leg in blank] == [""] * len(blank)
+        assert sum(row["note"].startswith(NOT_FINITE) for row in rows) == 5
+        for parse in (md_rows, json_rows):
+            assert [row["note"] for row in parse(theory_outs[
+                "md" if parse is md_rows else "json"])] == [
+                    row["note"] for row in rows]
+        simulate_outs = outputs(
+            capsys, ["simulate", "--data", str(path), "--replicates", "200"])
+        expected = reference_simulate_rows(params, DEFAULT_GRID, 200)
+        assert_simulate_rows(simulate_outs, expected)
+        assert all(note for cells, note in expected
+                   if "" in cells.values())
+
+    def test_infinite_total_reaches_no_pre(self):
+        # theory.pre raises on an inf total: the row is blanked before it
+        params = PopulationParams(n=2, mu_y=1e150, mu_x=1.0, sigma_y2=1.0,
+                                  sigma_x2=2e8, rho=0.5, sigma_u2=0.0,
+                                  sigma_v2=0.0)
+        with pytest.raises(ValueError, match="MSE must be positive, got inf"):
+            theory.pre(0.5, theory.row_plan(params, ((1, 1.0),))[4]
+                       .breakdown.total)
+        row = cli.theory_table(params, ((1, 1.0),)).rows[4]
+        assert row["note"] == NOT_FINITE + ", ".join(THEORY_LEGS)
+        assert [row[c] for c in (*THEORY_LEGS, "pre")] == [None] * 4
+
+    def test_pre_beyond_the_float_range(self, monkeypatch, table_params):
+        # a finite positive total so small that 100 * reference / total
+        # overflows: PRE is blank and named, the legs print
+        real = theory.row_plan
+
+        def plan(params, grid):
+            rows = real(params, grid)
+            rows[2] = rows[2]._replace(breakdown=MseBreakdown(
+                without_me=1e-308, me_contribution=0.0, total=1e-308))
+            return rows
+
+        monkeypatch.setattr(theory, "row_plan", plan)
+        row = cli.theory_table(table_params).rows[2]
+        assert (row["total"], row["pre"], row["note"]) == (
+            1e-308, None, NOT_FINITE + "pre")
+
+    def test_blank_note_takes_precedence(self, monkeypatch, table_params):
+        # a row both non-positive and blanked carries the blank note alone
+        real = theory.row_plan
+
+        def plan(params, grid):
+            rows = real(params, grid)
+            rows[1] = rows[1]._replace(breakdown=MseBreakdown(
+                without_me=math.inf, me_contribution=-math.inf, total=-5.0))
+            rows[2] = rows[2]._replace(breakdown=MseBreakdown(
+                without_me=1.0, me_contribution=-math.inf, total=-math.inf))
+            return rows
+
+        monkeypatch.setattr(theory, "row_plan", plan)
+        rows = cli.theory_table(table_params).rows
+        assert [(row["total"], row["pre"], row["note"]) for row in rows[1:3]
+                ] == [(-5.0, None, NOT_FINITE + "without_me, me_contribution"),
+                      (None, None, NOT_FINITE + "me_contribution, total")]
+        config = SimulationConfig(params=table_params, replicates=100, seed=0)
+        rows = cli.simulation_table(config)[0].rows
+        assert [(row["theory_mse"], row["relative_gap"], row["note"])
+                for row in rows[1:3]] == [
+            (-5.0, None, cli._NON_POSITIVE_GAP_NOTE),
+            (None, None, NOT_FINITE + "theory_mse")]
 
 
 class TestUsageAndHelp:

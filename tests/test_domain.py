@@ -10,12 +10,16 @@ the CLI reads them; every format. Whatever it draws, ``check`` holds:
 * the exit code is 0, 2 or 3, and exit 2 prints exactly one ``error:``
   line and no table;
 * no warning escapes;
-* the table parses in its format, with the rows of the row plan;
-* every theory row's legs sum to its total within 1e-9 relative (plus the
-  rounding of three decimals in md), and the mean-per-unit PRE is exactly
-  100;
+* the table parses in its format, with the rows of the row plan, and no
+  cell is nan or inf;
+* every blank number of a row (a leg, total or PRE of theory; a moment,
+  theory value or gap of simulate) comes with a note, and a note that
+  names blank cells names only blank ones;
+* every theory row with all three legs sums them to its total within 1e-9
+  relative (plus the rounding of three decimals in md), and the
+  mean-per-unit PRE is exactly 100;
 * every row with a non-positive first-order total carries the note that
-  says so, in both tables.
+  says so, in both tables, unless blank cells take its place.
 """
 
 import collections
@@ -33,6 +37,8 @@ from hypothesis import strategies as st
 
 from meanerr import cli
 
+from conftest import WIDE_DATA
+
 PRESET = "gujarati-table1"
 GRID_SPELLINGS = ("--grid=", "--grid", "--gri")
 LAWS = {"gaussian": [], "uniform": ["--error-law", "uniform"],
@@ -41,8 +47,14 @@ PLAN_HEAD = ("mean_per_unit", "exp_ratio", "regression_diff",
              "weighted_diff_optimal")
 # md rounds each leg and the total to three decimals
 MD_SLACK = 1.5e-3
+# the note on a row with blank cells, which it names after the colon
+NOT_FINITE = "not a finite float: "
+THEORY_NUMBERS = ("without_me", "me_contribution", "total", "pre")
+SIMULATE_NUMBERS = ("empirical_bias", "empirical_mse", "mc_se_mse",
+                    "theory_mse", "relative_gap")
 # study values near 1e150 over auxiliary values near 1e-150: the squared
-# ratio of the means leaves the float range, so theory exits 2
+# ratio of the means leaves the float range, so the row plan aborts and
+# theory and simulate exit 2
 OVERFLOWING_DATA = """Y,X,y,x
 1e150,1e-150,1e150,1e-150
 3e150,2e-150,3e150,2e-150
@@ -115,10 +127,14 @@ def command_lines(draw):
     return argv, text, tuple(pairs) or cli.DEFAULT_GRID, fmt, replicates
 
 
+def no_constant(name):
+    raise AssertionError(f"json holds {name}")
+
+
 def parse_table(fmt: str, out: str) -> list[dict]:
     """Rows of a printed table, every cell a string, None or a number."""
     if fmt == "json":
-        return json.loads(out)["rows"]
+        return json.loads(out, parse_constant=no_constant)["rows"]
     if fmt == "csv":
         return list(csv.DictReader(io.StringIO(out)))
     lines = [line for line in out.splitlines() if line.startswith("|")]
@@ -129,21 +145,41 @@ def parse_table(fmt: str, out: str) -> list[dict]:
 
 
 def number(cell):
-    """A cell as a float, or None when it is empty."""
-    return None if cell in (None, "") else float(cell)
+    """A cell as a float, or None when it is empty; never nan or inf."""
+    if cell in (None, ""):
+        return None
+    value = float(cell)
+    assert math.isfinite(value), cell
+    return value
+
+
+def blanks(row: dict, columns: tuple) -> list:
+    """The numbers of ``columns`` that ``row`` leaves blank, each checked
+    to have a note; a note that names blank cells names only blank ones."""
+    blank = [column for column in columns if number(row[column]) is None]
+    assert row["note"] or not blank, row
+    if row["note"].startswith(NOT_FINITE):
+        assert set(row["note"][len(NOT_FINITE):].split(", ")) <= set(
+            blank), row
+    return blank
 
 
 def check_theory_row(row: dict, fmt: str) -> None:
-    total = number(row["total"])
-    if total is None:
-        # an optimum with no row: singular, or beyond the float range
-        assert row["note"] and number(row["pre"]) is None
+    blank = blanks(row, THEORY_NUMBERS)
+    if "total" in blank:
+        # an optimum with no row, or a total that is not a float
+        assert number(row["pre"]) is None
         return
-    legs = number(row["without_me"]) + number(row["me_contribution"])
-    slack = MD_SLACK if fmt == "md" else 0.0
-    assert abs(total - legs) <= 1e-9 * abs(total) + slack, row
+    total = number(row["total"])
+    if not {"without_me", "me_contribution"} & set(blank):
+        legs = number(row["without_me"]) + number(row["me_contribution"])
+        slack = MD_SLACK if fmt == "md" else 0.0
+        assert abs(total - legs) <= 1e-9 * abs(total) + slack, row
     non_positive = (str(row["total"]).startswith("-") if fmt == "md"
                     else total <= 0)
+    if row["note"].startswith(NOT_FINITE):
+        # the blank note takes the place of the non-positive one
+        return
     if non_positive:
         assert row["note"] == cli._NON_POSITIVE_NOTE, row
         assert number(row["pre"]) is None, row
@@ -154,13 +190,17 @@ def check_theory_row(row: dict, fmt: str) -> None:
 
 
 def check_simulate_row(row: dict, replicates: int) -> None:
-    theory_mse = number(row["theory_mse"])
-    if theory_mse is None:
+    blank = blanks(row, SIMULATE_NUMBERS)
+    if number(row["replicates_used"]) is None:
         # an optimum with no row: nothing was simulated for it
-        assert row["note"] and number(row["replicates_used"]) is None, row
+        assert row["note"] and blank == list(SIMULATE_NUMBERS), row
         return
     assert (int(number(row["replicates_used"]))
             + int(number(row["replicates_skipped"]))) == replicates
+    if row["note"].startswith(NOT_FINITE):
+        # the blank note takes the place of the non-positive one
+        return
+    theory_mse = number(row["theory_mse"])
     if str(row["theory_mse"]).startswith("-") or theory_mse <= 0:
         assert row["note"] == cli._NON_POSITIVE_GAP_NOTE, row
         assert number(row["relative_gap"]) is None, row
@@ -212,6 +252,14 @@ def test_every_accepted_command_line_keeps_the_contract(data_path):
     @given(drawn=command_lines())
     @example(drawn=(["theory", "--data", "--format", "csv"],
                     OVERFLOWING_DATA, cli.DEFAULT_GRID, "csv", 0))
+    @example(drawn=(["simulate", "--data", "--replicates", "100",
+                     "--format", "json"], OVERFLOWING_DATA, cli.DEFAULT_GRID,
+                    "json", 100))
+    @example(drawn=(["theory", "--data", "--format", "json"],
+                    WIDE_DATA, cli.DEFAULT_GRID, "json", 0))
+    @example(drawn=(["simulate", "--data", "--replicates", "200",
+                     "--format", "md"], WIDE_DATA, cli.DEFAULT_GRID, "md",
+                    200))
     def run(drawn):
         argv, text, grid, fmt, replicates = drawn
         if text is not None:
@@ -223,6 +271,7 @@ def test_every_accepted_command_line_keeps_the_contract(data_path):
         reached[argv[0], "non-positive"] += "is not positive" in out
         reached[argv[0], "blank"] += ("singular" in out
                                       or "float range" in out)
+        reached[argv[0], "not finite"] += NOT_FINITE in out
 
     run()
     # the contract means something only if the draws reach every outcome
@@ -230,5 +279,6 @@ def test_every_accepted_command_line_keeps_the_contract(data_path):
         ("params", 0), ("theory", 0), ("theory", 2), ("simulate", 0),
         ("simulate", 2), ("simulate", 3), ("theory", "non-positive"),
         ("simulate", "non-positive"), ("theory", "blank"),
-        ("simulate", "blank")) if not reached[key]]
+        ("simulate", "blank"), ("theory", "not finite"),
+        ("simulate", "not finite")) if not reached[key]]
     assert missed == []

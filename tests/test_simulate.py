@@ -18,7 +18,6 @@ from meanerr.estimators import (
 )
 from meanerr.moments import PopulationParams
 from meanerr.simulate import (
-    AllReplicatesSkippedError,
     ConfigError,
     ErrorLaw,
     SimulationConfig,
@@ -446,32 +445,53 @@ class TestSimulationResult:
         assert math.isnan(result.mc_se_bias)
 
 
-class TestMomentOverflow:
-    """Finite estimator values whose moments leave the float range raise
-    one OverflowError naming the spec, with no numpy warning."""
+class TestMomentsBeyondTheFloatRange:
+    """Finite estimator values whose moments leave the float range give
+    that spec's result with inf where a square or SE term overflows, and
+    no numpy warning; each moment is checked against math.fsum."""
 
-    @pytest.mark.parametrize("ybars", [
-        np.array([1e154, 1e154, 1e154, 1e154]),   # fsum of finite squares
-        np.array([1e200, -1e200, 1.0, 2.0]),      # the squares themselves
-        np.array([1e100, -1e100, 1e80, 2.0]),     # the SE sum alone
+    @pytest.mark.parametrize("ybars, finite_mse, finite_se", [
+        (np.array([1e154, 1e154, 1e154, 1e154]), True, True),  # fsum only
+        (np.array([1e200, -1e200, 1.0, 2.0]), False, False),   # the squares
+        (np.array([1e100, -1e100, 1e80, 2.0]), True, False),   # SE terms
     ], ids=["sum", "square", "se"])
-    def test_overflow_names_spec(self, ybars):
+    def test_moments_against_fsum(self, ybars, finite_mse, finite_se):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match=r"Estimator\("):
-                _aggregate([Estimator()], ybars, np.full(4, 170.0),
-                           mu_y=0.0, mu_x=170.0)
+            (result,) = _aggregate([Estimator()], ybars, np.full(4, 170.0),
+                                   mu_y=0.0, mu_x=170.0)
+        values = ybars.tolist()
+        squares = [v * v for v in values]
+        # the sum of the squares may leave the float range where their
+        # mean does not: fsum a quarter of each, exactly
+        mse = math.fsum(s / 4 for s in squares)
+        se = math.inf
+        if finite_se:
+            se = math.sqrt(math.fsum((s - mse) ** 2 for s in squares) / 3 / 4)
+        assert result.empirical_bias == math.fsum(values) / 4
+        assert result.empirical_mse == mse
+        assert math.isfinite(mse) == finite_mse
+        assert result.mc_se_mse == se
+        assert (result.replicates_used, result.replicates_skipped) == (4, 0)
 
 
 class TestAllReplicatesSkipped:
-    def test_raised_at_aggregation_seam(self):
+    def test_nan_moments_beside_other_specs(self):
         # unreachable through a valid config (the all-skip probability is
-        # astronomically small at replicates >= 100), so the contract is
-        # pinned directly at the aggregation step
+        # astronomically small at replicates >= 100), so the rule is pinned
+        # directly at the aggregation step: a spec with no replicate gets
+        # nan moments, and the specs beside it their own results
         xbars = np.full(5, -170.0)
-        ybars = np.ones(5)
-        with pytest.raises(AllReplicatesSkippedError):
-            _aggregate([EXP_RATIO], ybars, xbars, mu_y=127.0, mu_x=170.0)
+        ybars = np.arange(5.0)
+        skipped, plain = _aggregate([EXP_RATIO, Estimator()], ybars, xbars,
+                                    mu_y=2.0, mu_x=170.0)
+        assert (skipped.replicates_used, skipped.replicates_skipped) == (0, 5)
+        assert all(map(math.isnan, (skipped.empirical_bias,
+                                    skipped.empirical_mse,
+                                    skipped.mc_se_mse, skipped.mc_se_bias)))
+        assert (plain.empirical_bias, plain.empirical_mse,
+                plain.replicates_used) == (0.0, math.fsum([4, 1, 0, 1, 4]) / 5,
+                                           5)
 
 
 class TestConvergenceSweep:
