@@ -496,7 +496,7 @@ class TestCellsItCannotForm:
     # from the MSE (grid 1,700, the SE sum alone) leave the float range
     @pytest.mark.parametrize("beta, blanked", [
         (1400, ["empirical_mse", "mc_se_mse", "relative_gap"]),
-        (700, ["mc_se_mse"])])
+        (700, ["mc_se_mse"])], ids=["grid-1,1400", "grid-1,700"])
     def test_monte_carlo_overflow(self, capsys, beta, blanked):
         outs = outputs(capsys, [*self.SMALL_N, f"--grid=1,{beta}"])
         params = replace(preset(PRESET), n=2)
@@ -533,16 +533,15 @@ class TestCellsItCannotForm:
             assert row["note"] == NOT_FINITE + ", ".join(blank)
             assert [row[leg] for leg in blank] == [""] * len(blank)
         assert sum(row["note"].startswith(NOT_FINITE) for row in rows) == 5
-        for parse in (md_rows, json_rows):
-            assert [row["note"] for row in parse(theory_outs[
-                "md" if parse is md_rows else "json"])] == [
-                    row["note"] for row in rows]
+        for fmt, parse in (("md", md_rows), ("json", json_rows)):
+            assert [row["note"] for row in parse(theory_outs[fmt])] == [
+                row["note"] for row in rows]
         simulate_outs = outputs(
             capsys, ["simulate", "--data", str(path), "--replicates", "200"])
         expected = reference_simulate_rows(params, DEFAULT_GRID, 200)
         assert_simulate_rows(simulate_outs, expected)
-        assert all(note for cells, note in expected
-                   if "" in cells.values())
+        # every row with a spec blanks at least its mc_se_mse
+        assert sum(note.startswith(NOT_FINITE) for _, note in expected) == 7
 
     def test_infinite_total_reaches_no_pre(self):
         # theory.pre raises on an inf total: the row is blanked before it
@@ -556,35 +555,33 @@ class TestCellsItCannotForm:
         assert row["note"] == NOT_FINITE + ", ".join(THEORY_LEGS)
         assert [row[c] for c in (*THEORY_LEGS, "pre")] == [None] * 4
 
-    def test_pre_beyond_the_float_range(self, monkeypatch, table_params):
-        # a finite positive total so small that 100 * reference / total
-        # overflows: PRE is blank and named, the legs print
+    @staticmethod
+    def patch_plan(monkeypatch, breakdowns):
+        """Give the plan rows at the keys of ``breakdowns`` those legs."""
         real = theory.row_plan
 
         def plan(params, grid):
             rows = real(params, grid)
-            rows[2] = rows[2]._replace(breakdown=MseBreakdown(
-                without_me=1e-308, me_contribution=0.0, total=1e-308))
+            for index, legs in breakdowns.items():
+                rows[index] = rows[index]._replace(
+                    breakdown=MseBreakdown(*legs))
             return rows
 
         monkeypatch.setattr(theory, "row_plan", plan)
+
+    def test_pre_beyond_the_float_range(self, monkeypatch, table_params):
+        # a finite positive total so small that 100 * reference / total
+        # overflows: PRE is blank and named, the legs print
+        self.patch_plan(monkeypatch, {2: (1e-308, 0.0, 1e-308)})
         row = cli.theory_table(table_params).rows[2]
         assert (row["total"], row["pre"], row["note"]) == (
             1e-308, None, NOT_FINITE + "pre")
 
     def test_blank_note_takes_precedence(self, monkeypatch, table_params):
         # a row both non-positive and blanked carries the blank note alone
-        real = theory.row_plan
-
-        def plan(params, grid):
-            rows = real(params, grid)
-            rows[1] = rows[1]._replace(breakdown=MseBreakdown(
-                without_me=math.inf, me_contribution=-math.inf, total=-5.0))
-            rows[2] = rows[2]._replace(breakdown=MseBreakdown(
-                without_me=1.0, me_contribution=-math.inf, total=-math.inf))
-            return rows
-
-        monkeypatch.setattr(theory, "row_plan", plan)
+        # (legs: without_me, me_contribution, total)
+        self.patch_plan(monkeypatch, {1: (math.inf, -math.inf, -5.0),
+                                      2: (1.0, -math.inf, -math.inf)})
         rows = cli.theory_table(table_params).rows
         assert [(row["total"], row["pre"], row["note"]) for row in rows[1:3]
                 ] == [(-5.0, None, NOT_FINITE + "without_me, me_contribution"),
