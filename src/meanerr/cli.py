@@ -19,11 +19,11 @@ Three subcommands share one source-resolution and rendering pipeline:
 
 Exit codes: 0 success, 1 usage error, 2 input where no row survives (bad
 data or configuration, a non-finite sample, a file that is not UTF-8, a
-run too large to allocate, a mean, ratio or weight whose square leaves the
-float range, a PRE reference that is not a positive float), 3 tolerance
-failure (``simulate --tolerance`` exceeded).  A cell that is not a finite
-float is blank, named in its row's note in place of any other note; an
-optimum that is singular or beyond the float range blanks its whole row.
+run too large to allocate, a PRE reference that is not a positive float),
+3 tolerance failure (``simulate --tolerance`` exceeded).  A cell that is
+not a finite float is blank, named in its row's note in place of any other
+note; an optimum that is singular or beyond the float range blanks its
+whole row.
 Output is a pure function of the flag set.
 """
 
@@ -548,12 +548,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:
-        # finite parameters whose theory leaves the float range, such as
-        # mu_y**2 for |mu_y| above about 1.3e154
-        detail = exc.args[-1] if exc.args else "out of range"
-        print(f"error: numerical overflow: {detail}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -54,7 +54,6 @@ __all__ = [
     "mse_quadratic",
     "first_order_bias",
     "pre",
-    "theory_mse",
     "PlanRow",
     "row_plan",
 ]
@@ -136,10 +135,10 @@ class MseQuadratic:
         """Evaluate the quadratic at one weight pair."""
         _check_weights(mean_weight, aux_weight)
         w1, w2 = mean_weight, aux_weight
-        # w2 (w2 X) where w2**2, which raises past the float range, falls
-        # below the normal range (a slope under 1.5e-154) and loses bits
-        w2_sq = w2**2
-        aux = (w2_sq * self.aux_sq if w2_sq >= 2.0**-1022
+        # w2**2 rounds through libm pow, which the golden bytes rest on;
+        # w2 (w2 X) where the square is not a normal float: past the range
+        # it raises, below it (a slope under 1.5e-154) it loses bits
+        aux = (w2**2 * self.aux_sq if 2.0**-511 <= abs(w2) < 2.0**512
                else w2 * (w2 * self.aux_sq))
         return (((w1 - 1) * mu_y) ** 2 + w1**2 * self.mean_sq
                 + aux + 2 * w1 * w2 * self.cross
@@ -171,8 +170,8 @@ class MseQuadratic:
         Without a bracket (L = M = 0) the value is mu_y^2 (S X - C C) / den,
         non-negative by Cauchy-Schwarz. When ``positive_definite`` holds, as
         it does in every benchmark regime, this is the global minimum. Raises
-        SingularSystemError when den vanishes and OverflowError when C C, a
-        weight or the value leaves the float range.
+        SingularSystemError when den vanishes and OverflowError when mu_y^2,
+        C C, a weight or the value leaves the float range.
         """
         S, X, C = self.mean_sq, self.aux_sq, self.cross
         L, M = self.mean_lin, self.aux_lin
@@ -212,7 +211,6 @@ def mse_quadratic(m: MomentSet, bracket: Optional[Bracket]) -> MseQuadratic:
         return MseQuadratic(mean_sq=m.var_ybar, aux_sq=m.var_xbar,
                             cross=-m.cov_yxbar, mean_lin=0, aux_lin=0)
     B, A = bracket.linear, bracket.quadratic
-    m.ratio**2  # OverflowError where the square leaves the float range
     # not the square times var_xbar: below |ratio| ~ 1.5e-154 the square
     # underflows to 0 where ratio^2 var_xbar need not
     r2_var = m.ratio * (m.ratio * m.var_xbar)
@@ -257,17 +255,6 @@ def pre(mse_reference: float, mse: float) -> float:
     if mse == mse_reference:
         return 100.0
     return 100.0 * mse_reference / mse
-
-
-# ---------------------------------------------------------------------- bridge
-
-def theory_mse(spec: Estimator, params: PopulationParams) -> float:
-    """First-order MSE predicted for ``spec`` under ``params``: its
-    bracket's quadratic at its weights. A plan row's total is this value
-    at the row's weights, except on the optimal rows, whose total is the
-    quadratic's minimum in its rearranged form."""
-    return mse_quadratic(derive_moments(params), spec.bracket).mse(
-        params.mu_y, spec.mean_weight, spec.aux_weight)
 
 
 # -------------------------------------------------------------------- row plan
@@ -317,16 +304,11 @@ def row_plan(params: PopulationParams,
     mean per unit (the reference of every PRE), the exp ratio and the
     power-exp rows, at each moment set's own regression slope for the
     difference, and minimized in each moment set for the optima. A power-exp
-    row and its optimal row share their two quadratics. A mean whose square
-    leaves the float range aborts the plan before any row. Rows are built in
-    table order, so a quadratic that overflows aborts the plan before the
-    rows after it. A singular optimum, or one beyond the float range, yields
-    spec and breakdown None with the reason in the note; the other rows are
-    unaffected.
+    row and its optimal row share their two quadratics. A leg that leaves
+    the float range is inf or nan in its own row. A singular optimum, or
+    one beyond the float range, yields spec and breakdown None with the
+    reason in the note; the other rows are unaffected.
     """
-    # the theory is stated for means whose squares are floats; float **
-    # raises OverflowError past that
-    params.mu_y**2, params.mu_x**2
     m = derive_moments(params)
     m_free = derive_moments(params, error_free=True)
     mu_y = params.mu_y

@@ -49,7 +49,6 @@ from meanerr.theory import (
     mse_quadratic,
     regression_slope,
     row_plan,
-    theory_mse,
 )
 
 from conftest import first_order
@@ -165,9 +164,11 @@ def first_order_gaps(n):
     """{label: (exact - first_order) / first_order} at sample size n, with
     the plan's coefficients re-derived at n."""
     params = replace(preset(PRESET), n=n)
+    m = derive_moments(params)
     gaps = {}
     for label, spec, _ in _benchmark_plan(params):
-        first = theory_mse(spec, params)
+        first = mse_quadratic(m, spec.bracket).mse(
+            params.mu_y, spec.mean_weight, spec.aux_weight)
         gaps[label] = (exact_gaussian_mse(spec, params) - first) / first
     return gaps
 
@@ -291,18 +292,20 @@ def test_criterion_5_monte_carlo_mse_verification(benchmark_sweep):
         SimulationConfig(params=preset(PRESET), replicates=200_000,
                          seed=SWEEP_SEED + 1),
         [Estimator()])[0]
-    exact = theory_mse(Estimator(), preset(PRESET))
+    exact = row_plan(preset(PRESET), ())[0].breakdown.total
     assert abs(small.empirical_mse - exact) <= 3.0 * small.mc_se_mse
 
 
 @pytest.mark.parametrize("n", [200, 2000])
 def test_oracle_matches_closed_form_mse(n):
     params = replace(preset(PRESET), n=n)
+    quad = mse_quadratic(derive_moments(params), None)
     checked = 0
     for label, spec, _ in _benchmark_plan(params):
         if closed_form(spec):
             assert exact_gaussian_mse(spec, params) == pytest.approx(
-                theory_mse(spec, params), rel=1e-10), label
+                quad.mse(params.mu_y, spec.mean_weight, spec.aux_weight),
+                rel=1e-10), label
             checked += 1
     assert checked == 3
 
@@ -380,15 +383,15 @@ def test_criterion_7_invariant_suite():
     for field in ("sigma_u2", "sigma_v2"):
         varied = [replace(base, **{field: value})
                   for value in (0.0, 9.0, 36.0, 100.0, 400.0)]
-        totals = [theory_mse(Estimator(bracket=ExpBracket()), p)
-                  for p in varied]
+        # row 1 of every plan is the exp ratio
+        totals = [row_plan(p, ())[1].breakdown.total for p in varied]
         assert all(a < b for a, b in zip(totals, totals[1:])), field
 
-    # Error-law invariance: theory_mse takes no error law, so one
+    # Error-law invariance: the row plan takes no error law, so one
     # first-order value serves every law, and the empirical MSE stays within
     # its 5% band under every law.
     exp_ratio = Estimator(bracket=ExpBracket())
-    predicted = theory_mse(exp_ratio, rescaled)
+    predicted = row_plan(rescaled, ())[1].breakdown.total
     for law, df in ((ErrorLaw.GAUSSIAN, None), (ErrorLaw.UNIFORM, None),
                     (ErrorLaw.STUDENT_T, 9.0)):
         result = run_monte_carlo(

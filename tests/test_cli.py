@@ -237,16 +237,30 @@ class TestOverflowingData:
 
     @pytest.mark.parametrize("command", [
         ["theory"], ["simulate", "--replicates", "100"]])
-    def test_theory_overflow_is_data_error(self, capsys, tmp_path, command):
+    def test_large_means_blank_only_their_rows(self, capsys, tmp_path,
+                                               command):
+        # mu_y**2 leaves the float range only inside the five optima, which
+        # print their note and no number; every blank cell is named
         path = tmp_path / "large.csv"
         path.write_text(self.LARGE_MEANS, encoding="utf-8")
-        code, _, _ = run_cli(capsys, ["params", "--data", str(path)])
-        assert code == 0
-        code, out, err = run_cli(capsys, [*command, "--data", str(path)])
-        assert code == 2
-        assert out == ""
-        assert err == "error: numerical overflow: Numerical result out of " \
-            "range\n"
+        params = compute_params(load_dataset(str(path), ColumnMap()), 4)
+        plan = theory.row_plan(params, DEFAULT_GRID)
+        assert sum(entry.spec is None for entry in plan) == 5
+        numbers = ((*THEORY_LEGS, "pre") if command == ["theory"]
+                   else SIMULATE_CHECKED)
+        outs = outputs(capsys, [*command, "--data", str(path)])
+        for fmt, parse in (("md", md_rows), ("csv", csv_rows),
+                           ("json", json_rows)):
+            rows = parse(outs[fmt])
+            assert [row["estimator"] for row in rows] == THEORY_ROW_ORDER
+            for row, entry in zip(rows, plan):
+                blank = [column for column in numbers
+                         if row[column] in ("", None)]
+                if entry.spec is None:
+                    assert (row["note"], blank) == (entry.note, list(numbers))
+                else:
+                    assert row["note"] == (
+                        NOT_FINITE + ", ".join(blank) if blank else ""), row
 
     def test_overflowing_variance_warns_nothing(self, capsys, tmp_path):
         path = tmp_path / "spread.csv"

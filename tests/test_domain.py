@@ -37,6 +37,7 @@ from hypothesis import strategies as st
 
 from meanerr import cli
 
+import test_cli
 from conftest import WIDE_DATA
 
 PRESET = "gujarati-table1"
@@ -53,8 +54,8 @@ THEORY_NUMBERS = ("without_me", "me_contribution", "total", "pre")
 SIMULATE_NUMBERS = ("empirical_bias", "empirical_mse", "mc_se_mse",
                     "theory_mse", "relative_gap")
 # study values near 1e150 over auxiliary values near 1e-150: the squared
-# ratio of the means leaves the float range, so the row plan aborts and
-# theory and simulate exit 2
+# ratio of the means leaves the float range, but no leg squares it, so
+# theory and simulate print every row and exit 0
 OVERFLOWING_DATA = """Y,X,y,x
 1e150,1e-150,1e150,1e-150
 3e150,2e-150,3e150,2e-150
@@ -257,6 +258,13 @@ def test_every_accepted_command_line_keeps_the_contract(data_path):
                     "json", 100))
     @example(drawn=(["theory", "--data", "--format", "json"],
                     WIDE_DATA, cli.DEFAULT_GRID, "json", 0))
+    # exit 2: a variance past the float range, and an n past it
+    @example(drawn=(["theory", "--data", "--format", "md"],
+                    test_cli.TestOverflowingData.LARGE_SPREAD,
+                    cli.DEFAULT_GRID, "md", 0))
+    @example(drawn=(["simulate", "--preset", PRESET, "--n", "9" * 400,
+                     "--replicates", "100", "--format", "csv"], None,
+                    cli.DEFAULT_GRID, "csv", 100))
     @example(drawn=(["simulate", "--data", "--replicates", "200",
                      "--format", "md"], WIDE_DATA, cli.DEFAULT_GRID, "md",
                     200))

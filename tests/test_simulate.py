@@ -16,7 +16,7 @@ from meanerr.estimators import (
     PowerExpBracket,
     evaluate_at_means,
 )
-from meanerr.moments import PopulationParams
+from meanerr.moments import PopulationParams, derive_moments
 from meanerr.simulate import (
     ConfigError,
     ErrorLaw,
@@ -31,7 +31,7 @@ from meanerr.simulate import (
     draw_replicate,
     run_monte_carlo,
 )
-from meanerr.theory import theory_mse
+from meanerr.theory import mse_quadratic, row_plan
 
 SEED = 20260817
 EXP_RATIO = Estimator(bracket=ExpBracket())
@@ -379,7 +379,9 @@ class TestRunMonteCarlo:
         cfg = dataclasses.replace(config, params=params)
         table, _ = simulation_table(cfg)
         row = next(r for r in table.rows if r["estimator"] == "exp_ratio")
-        assert row["theory_mse"] == theory_mse(EXP_RATIO, params)
+        assert row["theory_mse"] == mse_quadratic(
+            derive_moments(params), EXP_RATIO.bracket).mse(
+                params.mu_y, 1.0, 0.0)
 
     def test_mean_per_unit_matches_exact_theory(self, table_params):
         # the variance formula is exact for ybar, so the empirical MSE is a
@@ -389,7 +391,7 @@ class TestRunMonteCarlo:
                                seed=SEED)
         (row,) = run_monte_carlo(cfg, [Estimator()])
         assert row.replicates_skipped == 0
-        exact = theory_mse(Estimator(), table_params)
+        exact = row_plan(table_params, ())[0].breakdown.total
         assert abs(row.empirical_mse - exact) <= 4.0 * row.mc_se_mse
 
     def test_empty_spec_list(self, config):
@@ -517,7 +519,7 @@ class TestConvergenceSweep:
         for n in (5, 20, 80):
             at_n = self.at_n(cfg, n)
             (row,) = run_monte_carlo(at_n, [Estimator()])
-            theory = theory_mse(Estimator(), at_n.params)
+            theory = row_plan(at_n.params, ())[0].breakdown.total
             gap = abs(row.empirical_mse - theory) / theory
             assert gap < 0.15, n
 

@@ -24,10 +24,10 @@ from meanerr.theory import (
     pre,
     regression_slope,
     row_plan,
-    theory_mse,
 )
 
-from conftest import first_order, moment_pair, population_params
+from conftest import (first_order, moment_pair, population_params,
+                      shipped_first_order)
 
 PAIRS = [(1, 0), (0, 1), (1, 1), (1, -1)]
 EXP_RATIO = Estimator(bracket=ExpBracket())
@@ -112,7 +112,7 @@ class TestExpRatio:
     @given(population_params(), st.floats(0.1, 1e4), st.floats(0.1, 1e4))
     def test_monotone_in_error_variances(self, params, du, dv):
         def total(p):
-            return theory_mse(EXP_RATIO, p)
+            return plan_row(p, "exp_ratio").breakdown.total
 
         base = total(params)
         more_u = total(dataclasses.replace(
@@ -126,7 +126,7 @@ class TestExpRatio:
         # the exp ratio beats the mean per unit; with ratio * cov_yxbar > 0
         # that is ratio * var_xbar / cov_yxbar <= 4
         m = derive_moments(table_params)
-        assert (theory_mse(EXP_RATIO, table_params)
+        assert (plan_row(table_params, "exp_ratio").breakdown.total
                 <= mean_per_unit(table_params).total)
         assert m.ratio * m.var_xbar / m.cov_yxbar == pytest.approx(
             1.258871526864795, rel=1e-12)
@@ -135,7 +135,7 @@ class TestExpRatio:
         # with rho = 0 the correction only adds variance
         params = dataclasses.replace(table_params, rho=0.0)
         assert derive_moments(params).cov_yxbar == 0.0
-        assert (theory_mse(EXP_RATIO, params)
+        assert (plan_row(params, "exp_ratio").breakdown.total
                 > mean_per_unit(params).total)
 
 
@@ -460,13 +460,17 @@ class TestWeightedPowerExp:
                            match="^optimal weights leave the float range$"):
             quad.minimize(1.0)
 
-    def test_mse_helper_matches_quadratic(self, table_params):
+    def test_quadratic_matches_oracle_off_unit_weights(self, table_params):
+        # away from the table's weights, the quadratic is the shipped first
+        # order, exact in rationals, up to its rounding
         m = derive_moments(table_params)
         for pair in PAIRS:
             bracket = PowerExpBracket(*pair)
             quad = mse_quadratic(m, bracket)
-            assert theory_mse(Estimator(0.9, -0.3, bracket), table_params) \
-                == quad.mse(table_params.mu_y, 0.9, -0.3)
+            exact = shipped_first_order(m, table_params.mu_y, 0.9, -0.3,
+                                        bracket.linear, bracket.quadratic)
+            assert quad.mse(table_params.mu_y, 0.9, -0.3) == pytest.approx(
+                float(exact), rel=1e-12)
 
     @given(population_params())
     def test_weighted_exp_ratio_nests_exp_ratio(self, params):
@@ -502,8 +506,8 @@ class TestPre:
         m = derive_moments(table_params)
         ref = mean_per_unit(table_params).total
         mu_y = table_params.mu_y
-        assert pre(ref, theory_mse(EXP_RATIO, table_params)) == \
-            pytest.approx(437.270796, abs=1e-6)
+        assert pre(ref, plan_row(table_params, "exp_ratio").breakdown.total
+                   ) == pytest.approx(437.270796, abs=1e-6)
         treg = weighted_diff(m).mse(mu_y, 1.0, regression_slope(m))
         assert pre(ref, treg) == pytest.approx(944.128474, abs=1e-6)
         opt = weighted_diff(m).minimize(mu_y)
@@ -595,19 +599,22 @@ class TestDispatcher:
                                                 -0.4)),
         ]
         for spec, expected in cases:
-            assert theory_mse(spec, table_params) == expected
+            assert mse_quadratic(m, spec.bracket).mse(
+                table_params.mu_y, spec.mean_weight, spec.aux_weight) \
+                == expected
 
     def test_uncorrelated_regression_row_is_mean_per_unit(self, table_params):
         # at rho = 0 the regression slope is 0, so the regression_diff spec
-        # is the mean per unit's; both rows and theory_mse keep the total as
-        # computed, which re-summing the legs would move by one ulp when
+        # is the mean per unit's; both rows and the quadratic keep the total
+        # as computed, which re-summing the legs would move by one ulp when
         # sigma_u2 > sigma_y2
         params = dataclasses.replace(table_params, rho=0.0, sigma_y2=1.0,
                                      sigma_u2=3.7)
         plan = {row.label: row for row in row_plan(params, ())}
         spec = plan["regression_diff"].spec
         assert spec == plan["mean_per_unit"].spec == Estimator()
-        total = theory_mse(spec, params)
+        total = mse_quadratic(derive_moments(params), spec.bracket).mse(
+            params.mu_y, spec.mean_weight, spec.aux_weight)
         breakdown = plan["mean_per_unit"].breakdown
         assert total == breakdown.total \
             == plan["regression_diff"].breakdown.total
@@ -621,4 +628,5 @@ class TestDispatcher:
     def test_totals_agree_with_breakdowns(self, params, pair):
         bracket = PowerExpBracket(*map(float, pair))
         bd = plan_row(params, "power_exp", pair).breakdown
-        assert theory_mse(Estimator(bracket=bracket), params) == bd.total
+        assert power_exp_total(derive_moments(params), params.mu_y,
+                               bracket) == bd.total
