@@ -23,8 +23,9 @@ same rows (labels, cells, specs and notes). Four deliberate differences:
 * a leg the reference cannot form, where a square leaves the float
   range, is nan or inf in its own row: the square of a mean or of the
   regression slope raised and aborted the plan, and the weighted power-exp
-  minimum at its stationary point blanked its row. A number the plan cannot form fails only its own row,
-  and the oracle checks the plan's legs there.
+  minimum at its stationary point blanked its row. A number the plan
+  cannot form fails only its own row, and the oracle checks the plan's
+  legs there.
 
 The numbers are checked against ``conftest.first_order``, exact in
 rationals, on every plan: each finite total and error-free leg lies within
@@ -40,8 +41,6 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
-
-import pytest
 
 from meanerr import theory
 from meanerr.cli import DEFAULT_GRID
