@@ -118,8 +118,15 @@ class _Parser(argparse.ArgumentParser):
 
     argparse exits with status 2 on usage errors; the exit-code contract
     reserves 2 for data errors, so usage problems are funneled through
-    ``_UsageError`` and mapped to exit code 1 in ``main``.
+    ``_UsageError`` and mapped to exit code 1 in ``main``. A token that
+    starts with ``-`` and a digit, or ``-.`` and a digit, such as
+    ``--grid -1,0``'s, is a value, not a flag; argparse's own pattern takes
+    only a plain negative number such as ``-1`` for one.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
@@ -338,36 +345,6 @@ def _add_grid_flag(parser: argparse.ArgumentParser) -> None:
              "integer in [-3, 3]; default grid: 1,0 0,1 1,1 1,-1")
 
 
-# A --grid value with a negative alpha, such as -1,0: argparse would take it
-# for a flag.
-_NEGATIVE_GRID_VALUE = re.compile(r"-\.?\d")
-
-
-@functools.cache
-def _grid_spellings(parser: argparse.ArgumentParser) -> frozenset[str]:
-    """The flags after which ``_join_grid_values`` joins a negative value:
-    ``--grid`` itself, for every parser, and each abbreviation that
-    ``parser`` resolves to its ``--grid`` flag."""
-    return frozenset(["--grid", *(
-        prefix for prefix in ("--g", "--gr", "--gri")
-        if [flag for flag in parser._option_string_actions
-            if flag.startswith(prefix)] == ["--grid"])])
-
-
-def _join_grid_values(argv: Sequence[str],
-                      spellings: frozenset[str]) -> list[str]:
-    """``argv`` with ``--grid -1,0`` rewritten as ``--grid=-1,0``, and
-    likewise after every other flag in ``spellings``."""
-    joined: list[str] = []
-    for token in argv:
-        if (joined and joined[-1] in spellings
-                and _NEGATIVE_GRID_VALUE.match(token)):
-            joined[-1] = f"{joined[-1]}={token}"
-        else:
-            joined.append(token)
-    return joined
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """CLI parser: params/theory/simulate with shared source flags.
@@ -510,15 +487,12 @@ def _cmd_simulate(args) -> int:
 
 def _parse(parser: argparse.ArgumentParser,
            argv: Sequence[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)`` in one argparse pass (see ``main``),
-    with negative ``--grid`` values joined to their flag."""
+    """``parser.parse_args(argv)`` in one argparse pass (see ``main``)."""
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        return parser.parse_args(
-            _join_grid_values(argv, _grid_spellings(parser)))
+        return parser.parse_args(argv)
     args, extras = command.parse_known_args(
-        _join_grid_values(argv[1:], _grid_spellings(command)),
-        argparse.Namespace(command=argv[0]))
+        argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args

@@ -245,7 +245,7 @@ def compute_params(ds: MeasuredDataset, n_for_theory: int) -> PopulationParams:
         scale = math.sqrt(var_y) * math.sqrt(var_x)
     # |rho| <= 1 by Cauchy-Schwarz; the clip removes only rounding excess,
     # such as 1.0000000000000002 on perfectly correlated columns
-    rho = float(np.clip(cov / scale, -1.0, 1.0))
+    rho = min(max(cov / scale, -1.0), 1.0)
     return PopulationParams(
         n=n_for_theory,
         mu_y=mu_y,

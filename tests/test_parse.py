@@ -2,10 +2,11 @@
 
 The reference below is the parse ``main`` made before: the top-level
 parser's ``parse_args`` over the whole command line, which runs the
-subcommand's parser over the same tokens a second time. Both see the same
-negative ``--grid`` values joined to their flag. On every command line of
-the corpus ``main`` must give the same exit code (or ``SystemExit`` code),
-stdout and stderr with either parse.
+subcommand's parser over the same tokens a second time. Both parsers read
+a token that starts with ``-`` and a digit as a value, so ``--grid -1,0``
+needs no rewrite before either parse. On every command line of the corpus
+``main`` must give the same exit code (or ``SystemExit`` code), stdout and
+stderr with either parse.
 """
 
 import argparse
@@ -23,9 +24,7 @@ DATA_ROWS = (3, 8, 40)
 
 
 def reference_parse(parser, argv):
-    command = parser.commands.get(argv[0], parser) if argv else parser
-    return parser.parse_args(
-        cli._join_grid_values(argv, cli._grid_spellings(command)))
+    return parser.parse_args(argv)
 
 
 def run_main(argv):
@@ -193,3 +192,40 @@ def test_one_parse_per_command_line(monkeypatch, capsys, argv):
     assert cli.main(argv) == 0
     assert parsed == [f"meanerr {argv[0]}"]
 
+
+# ------------------------------------------------------------ dash-led values
+
+SIMULATE = ["simulate", "--preset", PRESET, "--replicates", "100"]
+
+
+@pytest.mark.parametrize("argv, code, last_err", [
+    (["params", "--preset", PRESET, "--grid", "-1,0"], 1,
+     "error: unrecognized arguments: --grid -1,0"),
+    (["theory", "--preset", PRESET, "--n", "-1e3"], 1,
+     "error: argument --n: invalid int value: '-1e3'"),
+    ([*SIMULATE, "--seed", "-1,0"], 1,
+     "error: argument --seed: invalid int value: '-1,0'"),
+    ([*SIMULATE, "--tolerance", "-1e-3"], 1,
+     "error: --tolerance must be a finite number >= 0, got -0.001"),
+    ([*SIMULATE, "--error-law", "student-t", "--error-df", "-1e3"], 2,
+     "error: error_df must be a finite number > 4 for the Student-t law, "
+     "got -1000.0"),
+    (["theory", "--data", "units-3.csv", "--col-Y", "-1x"], 2,
+     "error: missing column(s) ['-1x'] in header ['Y', 'X', 'y', 'x']"),
+    (["theory", "--preset", PRESET, "--col-Y", "-1x"], 0, None),
+    (["theory", "--preset", PRESET, "--out", "-1.txt"], 0, None),
+], ids=["params-grid", "n", "seed", "tolerance", "error-df", "data-col-Y",
+        "preset-col-Y", "out"])
+def test_dash_led_value_after_any_flag(tmp_path, monkeypatch, argv, code,
+                                       last_err):
+    # every flag, not only --grid, takes a token that starts with "-" and a
+    # digit as its value
+    monkeypatch.chdir(tmp_path)
+    write_data(tmp_path, 3, random.Random(SEED))
+    got, out, err = run_main(argv)
+    assert got == code
+    assert (err.splitlines() or [None])[-1] == last_err
+    if argv[-2] == "--out":
+        assert out == ""
+        assert (tmp_path / "-1.txt").read_text(
+            encoding="utf-8").startswith("## first-order mse comparison")
