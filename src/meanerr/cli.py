@@ -18,12 +18,11 @@ Three subcommands share one source-resolution and rendering pipeline:
     relative gap per row.
 
 Exit codes: 0 success, 1 usage error, 2 input where no row survives (bad
-data or configuration, a non-finite sample, a file that is not UTF-8, a
-run too large to allocate, a PRE reference that is not a positive float),
-3 tolerance failure (``simulate --tolerance`` exceeded).  A cell that is
-not a finite float is blank, named in its row's note in place of any other
-note; an optimum that is singular or beyond the float range blanks its
-whole row.
+data or configuration, a file that is not UTF-8, a run too large to
+allocate), 3 tolerance failure (``simulate --tolerance`` exceeded).  A
+cell that is not a finite float is blank, named in its row's note in place
+of any other note; an optimum that is singular or beyond the float range
+blanks its whole row.
 Output is a pure function of the flag set.
 """
 
@@ -98,15 +97,16 @@ _MD_FORMATS = {
 # Notes on a row whose first-order total is zero or negative (the expansion
 # has left its range of validity there, and PRE or the relative gap is
 # undefined), and on a row whose cells named after the colon are blank: the
-# cells below, the only ones that can be nan or inf.
+# cells below, the only ones that can be nan or inf (a slope in aux_weight).
 _NON_POSITIVE_NOTE = ("first-order mse is not positive: outside the "
                       "expansion's range, pre undefined")
 _NON_POSITIVE_GAP_NOTE = ("first-order mse is not positive: outside the "
                           "expansion's range, relative_gap undefined")
 _NOT_FINITE_NOTE = "not a finite float: "
-_THEORY_CHECKED = ("without_me", "me_contribution", "total", "pre")
-_SIMULATE_CHECKED = ("empirical_bias", "empirical_mse", "mc_se_mse",
-                     "theory_mse", "relative_gap")
+_THEORY_CHECKED = ("aux_weight", "without_me", "me_contribution", "total",
+                   "pre")
+_SIMULATE_CHECKED = ("aux_weight", "empirical_bias", "empirical_mse",
+                     "mc_se_mse", "theory_mse", "relative_gap")
 
 
 class _UsageError(Exception):
@@ -141,7 +141,7 @@ class ReportTable:
     for a cell that does not apply to the row).  Invariants maintained by
     the builders: no float cell is nan or inf, every theory row with all
     three legs satisfies total = without_me + me_contribution within 1e-9
-    relative, and the mean-per-unit row's PRE is exactly 100.0.
+    relative; the mean-per-unit PRE is exactly 100.0 wherever it prints.
     """
 
     title: str
@@ -174,7 +174,8 @@ def theory_table(params: PopulationParams,
 
     PRE is taken against the mean-per-unit row. A row whose first-order
     total is not positive keeps its legs and total, but its PRE is left
-    empty and the note says why; a blank nan or inf cell is named instead.
+    empty and the note says why; a blank nan or inf cell is named instead,
+    PRE included where the reference is not a positive float.
     """
     plan = theory.row_plan(params, tuple(grid))
     reference = plan[0].breakdown.total
@@ -185,13 +186,15 @@ def theory_table(params: PopulationParams,
         legs = entry.breakdown
         if legs is not None:
             row.update(vars(legs))
-            if 0 < legs.total < math.inf:
+            if legs.total > 0:
                 row["pre"] = theory.pre(reference, legs.total)
             elif legs.total <= 0:
                 row["note"] = _NON_POSITIVE_NOTE
-            # me_contribution is finite only where both legs are
-            if not math.isfinite(legs.me_contribution) or (
-                    row["pre"] == math.inf):
+            # me_contribution is finite only where both legs are (both are
+            # nan where the slope in aux_weight is not); pre is None where
+            # the total is not positive
+            if not (math.isfinite(legs.me_contribution)
+                    and math.isfinite(row["pre"] or 0.0)):
                 _blank_non_finite(row, _THEORY_CHECKED)
         rows.append(row)
     return ReportTable(title=f"first-order mse comparison (n={params.n})",
@@ -208,6 +211,7 @@ def simulation_table(config: SimulationConfig,
     whose first-order MSE is not a positive float gets no relative gap and
     stays out of the worst gap, with a note where it is not positive. Else
     a gap that is not finite is unbounded; a blank nan or inf cell is named.
+    A row without a spec is not simulated.
     """
     plan = theory.row_plan(config.params, tuple(grid))
     specs = [entry.spec for entry in plan if entry.spec is not None]
@@ -232,7 +236,7 @@ def simulation_table(config: SimulationConfig,
             # fields shallowly, where asdict would deep-copy the estimator
             row.update(vars(result), estimator=entry.label,
                        theory_mse=theory_mse, relative_gap=gap)
-            _blank_non_finite(row, _SIMULATE_CHECKED)
+        _blank_non_finite(row, _SIMULATE_CHECKED)
         rows.append(row)
     title = (f"monte carlo (n={config.params.n}, "
              f"replicates={config.replicates}, seed={config.seed}, "

@@ -99,16 +99,10 @@ class OptimalWeights:
     min_mse: float
 
 
-def _check_weights(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"weights must be finite, got {v!r}")
-
-
 def regression_slope(m: MomentSet) -> float:
-    """MSE-minimizing auxiliary weight at mean_weight = 1:
-    cov_yxbar / var_xbar."""
-    return m.cov_yxbar / m.var_xbar
+    """cov_yxbar / var_xbar, the MSE-minimizing auxiliary weight at
+    mean_weight = 1; nan where var_xbar is 0, inf past the float range."""
+    return m.cov_yxbar / m.var_xbar if m.var_xbar else math.nan
 
 
 # ------------------------------------------------------------- the quadratic
@@ -132,8 +126,8 @@ class MseQuadratic:
     aux_lin: float    # B ratio var_xbar
 
     def mse(self, mu_y: float, mean_weight: float, aux_weight: float) -> float:
-        """Evaluate the quadratic at one weight pair."""
-        _check_weights(mean_weight, aux_weight)
+        """Evaluate the quadratic at one weight pair; a weight that is not
+        finite gives a value that is not finite."""
         w1, w2 = mean_weight, aux_weight
         # w2**2 rounds through libm pow, which the golden bytes rest on;
         # w2 (w2 X) where the square is not a normal float: past the range
@@ -243,15 +237,15 @@ def first_order_bias(spec: Estimator, m: MomentSet, mu_x: float,
 # ------------------------------------------------------------------ efficiency
 
 def pre(mse_reference: float, mse: float) -> float:
-    """Percent relative efficiency, 100 * mse_reference / mse.
+    """Percent relative efficiency, 100 * mse_reference / mse, and nan
+    unless both MSEs are positive finite floats; inf where the quotient
+    leaves the float range.
 
     Exactly 100 when ``mse`` equals the reference, which the rounding of
     100 * r / r misses for some r.
     """
-    if not (math.isfinite(mse_reference) and mse_reference > 0):
-        raise ValueError(f"reference MSE must be positive, got {mse_reference!r}")
-    if not (math.isfinite(mse) and mse > 0):
-        raise ValueError(f"MSE must be positive, got {mse!r}")
+    if not (0 < mse_reference < math.inf and 0 < mse < math.inf):
+        return math.nan
     if mse == mse_reference:
         return 100.0
     return 100.0 * mse_reference / mse
@@ -265,7 +259,7 @@ class PlanRow(NamedTuple):
 
     label: str
     cells: dict                          # the alpha/beta/weight cells that apply
-    spec: Optional[Estimator]            # None when the row has no optimum
+    spec: Optional[Estimator]            # None without finite weights
     breakdown: Optional[MseBreakdown]
     note: str = ""
 
@@ -305,9 +299,10 @@ def row_plan(params: PopulationParams,
     power-exp rows, at each moment set's own regression slope for the
     difference, and minimized in each moment set for the optima. A power-exp
     row and its optimal row share their two quadratics. A leg that leaves
-    the float range is inf or nan in its own row. A singular optimum, or
-    one beyond the float range, yields spec and breakdown None with the
-    reason in the note; the other rows are unaffected.
+    the float range is inf or nan in its own row. A regression slope that
+    is not finite yields spec None, and its legs are nan. A singular
+    optimum, or one beyond the float range, yields spec and breakdown None
+    with the reason in the note; the other rows are unaffected.
     """
     m = derive_moments(params)
     m_free = derive_moments(params, error_free=True)
@@ -325,7 +320,7 @@ def row_plan(params: PopulationParams,
                 legs(mse_quadratic(m, _EXP_BRACKET),
                      mse_quadratic(m_free, _EXP_BRACKET))),
         PlanRow("regression_diff", {"mean_weight": 1.0, "aux_weight": slope},
-                Estimator(1.0, slope),
+                Estimator(1.0, slope) if math.isfinite(slope) else None,
                 legs(*plain, slope, regression_slope(m_free))),
         _optimal_row("weighted_diff_optimal", {}, "weighted difference",
                      mu_y, *plain),

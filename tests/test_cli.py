@@ -396,18 +396,6 @@ class TestUnevaluableInput:
             capsys, ["simulate", "--preset", PRESET,
                      "--n", "9007199254740993", "--replicates", "100"])
 
-    def test_reference_mse_underflows(self, capsys, tmp_path):
-        # at this n the mean-per-unit total underflows to 0 while a
-        # power-exp row stays positive
-        path = tmp_path / "tiny.csv"
-        path.write_text(
-            "Y,X,y,x\n9.9999e-151,-1.0,9.9999e-151,-1.0\n"
-            "1.00001e-150,1.0000000002,1.00001e-150,1.0000000002\n",
-            encoding="utf-8")
-        self.assert_data_error(
-            capsys, ["theory", "--data", str(path),
-                     "--n", "100000000000000000000"])
-
     @pytest.mark.parametrize("bug", [TypeError, KeyError, IndexError,
                                      AttributeError])
     def test_bug_propagates(self, monkeypatch, bug):
@@ -504,6 +492,11 @@ class TestCellsItCannotForm:
 
     SMALL_N = ["simulate", "--preset", PRESET, "--n", "2",
                "--replicates", "1000"]
+    # at --n 1e20 the mean-per-unit total, the PRE reference, underflows to
+    # 0 while other rows stay positive
+    UNDERFLOWING_REFERENCE = ("Y,X,y,x\n9.9999e-151,-1.0,9.9999e-151,-1.0\n"
+                              "1.00001e-150,1.0000000002,1.00001e-150,"
+                              "1.0000000002\n")
 
     # at n = 2 the power-exp bracket exp(beta (mu_x - xbar) / ...) reaches
     # finite values whose squares (grid 1,1400) or whose squared deviations
@@ -558,15 +551,15 @@ class TestCellsItCannotForm:
         assert sum(note.startswith(NOT_FINITE) for _, note in expected) == 7
 
     def test_infinite_total_reaches_no_pre(self):
-        # theory.pre raises on an inf total: the row is blanked before it
+        # theory.pre of an inf total is nan: the row blanks and names it
+        # with the legs
         params = PopulationParams(n=2, mu_y=1e150, mu_x=1.0, sigma_y2=1.0,
                                   sigma_x2=2e8, rho=0.5, sigma_u2=0.0,
                                   sigma_v2=0.0)
-        with pytest.raises(ValueError, match="MSE must be positive, got inf"):
-            theory.pre(0.5, theory.row_plan(params, ((1, 1.0),))[4]
-                       .breakdown.total)
+        assert math.isnan(theory.pre(0.5, theory.row_plan(
+            params, ((1, 1.0),))[4].breakdown.total))
         row = cli.theory_table(params, ((1, 1.0),)).rows[4]
-        assert row["note"] == NOT_FINITE + ", ".join(THEORY_LEGS)
+        assert row["note"] == NOT_FINITE + ", ".join((*THEORY_LEGS, "pre"))
         assert [row[c] for c in (*THEORY_LEGS, "pre")] == [None] * 4
 
     @staticmethod
@@ -582,6 +575,26 @@ class TestCellsItCannotForm:
             return rows
 
         monkeypatch.setattr(theory, "row_plan", plan)
+
+    def test_reference_mse_underflows(self, capsys, tmp_path):
+        # the reference row carries the non-positive note, and every
+        # positive row blanks and names its PRE
+        path = tmp_path / "tiny.csv"
+        path.write_text(self.UNDERFLOWING_REFERENCE, encoding="utf-8")
+        outs = outputs(capsys, ["theory", "--data", str(path),
+                                "--n", "100000000000000000000"])
+        rows = csv_rows(outs["csv"])
+        assert (rows[0]["total"], rows[0]["pre"], rows[0]["note"]) == (
+            "0.0", "", cli._NON_POSITIVE_NOTE)
+        positive = [row for row in rows if row["total"]
+                    and float(row["total"]) > 0]
+        assert len(positive) == 7
+        assert {(row["pre"], row["note"]) for row in positive} == {
+            ("", NOT_FINITE + "pre")}
+        for fmt, parse in (("md", md_rows), ("json", json_rows)):
+            assert [(row["pre"] in ("", None), row["note"])
+                    for row in parse(outs[fmt])] == [
+                (row["pre"] == "", row["note"]) for row in rows]
 
     def test_pre_beyond_the_float_range(self, monkeypatch, table_params):
         # a finite positive total so small that 100 * reference / total

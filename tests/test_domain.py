@@ -25,6 +25,7 @@ the CLI reads them; every format. Whatever it draws, ``check`` holds:
 import collections
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -36,6 +37,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanerr import cli
+from meanerr.moments import ParameterError, PopulationParams
+from meanerr.simulate import SimulationConfig
 
 import test_cli
 from conftest import WIDE_DATA
@@ -156,12 +159,14 @@ def number(cell):
 
 def blanks(row: dict, columns: tuple) -> list:
     """The numbers of ``columns`` that ``row`` leaves blank, each checked
-    to have a note; a note that names blank cells names only blank ones."""
+    to have a note; a note that names blank cells names only blank ones,
+    among them an aux_weight, the regression slope, that is not finite."""
     blank = [column for column in columns if number(row[column]) is None]
     assert row["note"] or not blank, row
     if row["note"].startswith(NOT_FINITE):
+        weight = ["aux_weight"] if number(row["aux_weight"]) is None else []
         assert set(row["note"][len(NOT_FINITE):].split(", ")) <= set(
-            blank), row
+            blank + weight), row
     return blank
 
 
@@ -290,3 +295,123 @@ def test_every_accepted_command_line_keeps_the_contract(data_path):
         ("simulate", "blank"), ("theory", "not finite"),
         ("simulate", "not finite")) if not reached[key]]
     assert missed == []
+
+
+# ------------------------------------------------------------- extreme scales
+# Parameter sets from across the float range: |mu| log-uniform in
+# [1e-320, 1e308], variances in [1e-323, 1e308], each error variance 0 or
+# log-uniform, rho uniform and n from N_CHOICES. Every set that
+# PopulationParams accepts must print both tables, failing only rows.
+EXTREME_SETS = 2000
+# every SIMULATE_EVERY-th set also runs simulate, at n = 2 or 3
+SIMULATE_EVERY = 40
+N_CHOICES = (2, 3, 10, 200, 10**6, 10**12)
+# two auxiliary values 2^-537 either side of their mean: var_x is 2^-1074,
+# so var_xbar at n = 2 is 0 and the regression slope is undefined
+ZERO_AUX_VARIANCE = f"""Y,X,y,x
+1.0,{2.0**-537!r},1.0,{2.0**-537!r}
+3.0,{3 * 2.0**-537!r},3.0,{3 * 2.0**-537!r}
+"""
+
+
+def log_uniform(rng: random.Random, low: float, high: float) -> float:
+    return 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+
+
+def extreme_params(rng: random.Random) -> PopulationParams:
+    """The next parameter set of ``rng`` that PopulationParams accepts (a
+    variance that rounds to 0 is drawn again)."""
+    while True:
+        try:
+            return PopulationParams(
+                n=rng.choice(N_CHOICES),
+                mu_y=rng.choice((-1, 1)) * log_uniform(rng, 1e-320, 1e308),
+                mu_x=rng.choice((-1, 1)) * log_uniform(rng, 1e-320, 1e308),
+                sigma_y2=log_uniform(rng, 1e-323, 1e308),
+                sigma_x2=log_uniform(rng, 1e-323, 1e308),
+                rho=rng.uniform(-1.0, 1.0),
+                sigma_u2=rng.choice((0.0, log_uniform(rng, 1e-323, 1e308))),
+                sigma_v2=rng.choice((0.0, log_uniform(rng, 1e-323, 1e308))))
+        except ParameterError:
+            continue
+
+
+def assert_blanks_named(row: dict, numbers: tuple, total: str,
+                        non_positive_note: str, undefined: str) -> None:
+    """Every blank number of ``row`` is named in its note, in the list of
+    the not-finite note. The cell ``undefined`` (PRE, or the relative gap)
+    is blank where the ``total`` it is taken from is blank, or where it is
+    not positive: the non-positive note says so, unless the not-finite note
+    takes its place. A row with any other note (an optimum the plan has no
+    row for) forms no number at all."""
+    blank = blanks(row, numbers)
+    note = row["note"]
+    if note.startswith(NOT_FINITE):
+        named = note[len(NOT_FINITE):].split(", ")
+    elif note and note != non_positive_note:
+        assert blank == list(numbers), row
+        return
+    else:
+        named = []
+    value = number(row[total])
+    if value is None or value <= 0:
+        assert note.startswith(NOT_FINITE) or note == non_positive_note, row
+        named.append(undefined)
+    assert set(blank) <= set(named), row
+
+
+def check_extreme_theory(rows: list) -> None:
+    for row in rows:
+        assert number(row["total"]) is not None or row["note"], row
+        assert_blanks_named(row, THEORY_NUMBERS, "total",
+                            cli._NON_POSITIVE_NOTE, "pre")
+    assert rows[0]["pre"] in (100.0, None)
+
+
+def check_extreme_simulate(rows: list) -> None:
+    for row in rows:
+        assert number(row["theory_mse"]) is not None or row["note"], row
+        if row["replicates_used"] is None:
+            # no spec: nothing was simulated for the row
+            assert row["note"] and blanks(row, SIMULATE_NUMBERS) == list(
+                SIMULATE_NUMBERS), row
+        else:
+            assert_blanks_named(row, SIMULATE_NUMBERS, "theory_mse",
+                                cli._NON_POSITIVE_GAP_NOTE, "relative_gap")
+
+
+def rendered_rows(table: cli.ReportTable) -> list:
+    """The rows of ``table`` as its json prints them."""
+    return json.loads(cli.render_table(table, "json"),
+                      parse_constant=no_constant)["rows"]
+
+
+def test_extreme_scales_fail_only_rows():
+    rng = random.Random(28)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for index in range(EXTREME_SETS):
+            params = extreme_params(rng)
+            check_extreme_theory(rendered_rows(cli.theory_table(params)))
+            if index % SIMULATE_EVERY == 0:
+                config = SimulationConfig(
+                    params=dataclasses.replace(
+                        params, n=2 + index // SIMULATE_EVERY % 2),
+                    replicates=100, seed=index)
+                check_extreme_simulate(
+                    rendered_rows(cli.simulation_table(config)[0]))
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["theory", "--n", "100000000000000000000"],
+     test_cli.TestCellsItCannotForm.UNDERFLOWING_REFERENCE),
+    (["simulate", "--replicates", "100"], ZERO_AUX_VARIANCE),
+], ids=["theory-underflowing-reference", "simulate-zero-aux-variance"])
+def test_extreme_data_prints_its_table(data_path, argv, text):
+    data_path.write_text(text, encoding="utf-8")
+    code, out, err = run_main([argv[0], "--data", str(data_path), *argv[1:],
+                               "--format", "json"])
+    assert (code, err) == (cli.EXIT_SUCCESS, "")
+    rows = parse_table("json", out)
+    (check_extreme_theory if argv[0] == "theory"
+     else check_extreme_simulate)(rows)
