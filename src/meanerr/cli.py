@@ -37,8 +37,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ingest import (ColumnMap, compute_params, load_dataset, preset,
                      preset_names)
@@ -133,8 +132,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class ReportTable:
+class ReportTable(NamedTuple):
     """One renderable table: a title, ordered columns, and record rows.
 
     Rows are mappings from column name to value (float, int, str, or None
@@ -185,7 +183,7 @@ def theory_table(params: PopulationParams,
         row.update(entry.cells, estimator=entry.label, note=entry.note)
         legs = entry.breakdown
         if legs is not None:
-            row.update(vars(legs))
+            row.update(legs._asdict())
             if legs.total > 0:
                 row["pre"] = theory.pre(reference, legs.total)
             elif legs.total <= 0:
@@ -232,9 +230,8 @@ def simulation_table(config: SimulationConfig,
             elif theory_mse <= 0:
                 row["note"] = _NON_POSITIVE_GAP_NOTE
             # the empirical columns carry the result's field names; its
-            # estimator field gives way to the row label. vars() copies the
-            # fields shallowly, where asdict would deep-copy the estimator
-            row.update(vars(result), estimator=entry.label,
+            # estimator field gives way to the row label
+            row.update(result._asdict(), estimator=entry.label,
                        theory_mse=theory_mse, relative_gap=gap)
         _blank_non_finite(row, _SIMULATE_CHECKED)
         rows.append(row)

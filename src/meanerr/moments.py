@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ParameterError",
@@ -62,8 +63,7 @@ class PopulationParams:
             raise ParameterError("error variances must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(NamedTuple):
     """First-order moments of the observed means for one parameter set.
 
     ``var_ybar`` and ``var_xbar`` are the variances of the observed study and

@@ -40,7 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .estimators import (
     Estimator,
@@ -140,8 +140,7 @@ class SimulationConfig:
                 f"{self.error_df!r} with {self.error_law.value}")
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Empirical moments of one estimator across the used replicates; no
     theory value rides along. A moment is nan when no replicate was used
     (``mc_se_mse`` also when one was) and inf when a square or SE term

@@ -39,7 +39,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .estimators import Bracket, Estimator, ExpBracket, PowerExpBracket
@@ -71,8 +70,7 @@ class SingularSystemError(ArithmeticError):
     """Raised when the normal equations for optimal weights are singular."""
 
 
-@dataclass(frozen=True)
-class MseBreakdown:
+class MseBreakdown(NamedTuple):
     """An MSE split into its error-free part and the measurement-error part.
 
     ``total`` is the value at the moments with the errors, as computed, and
@@ -90,8 +88,7 @@ def _breakdown(without_me: float, total: float) -> MseBreakdown:
                         me_contribution=total - without_me, total=total)
 
 
-@dataclass(frozen=True)
-class OptimalWeights:
+class OptimalWeights(NamedTuple):
     """MSE-minimizing coefficient pair and the minimum it attains."""
 
     first: float     # weight on ybar
@@ -109,8 +106,7 @@ def regression_slope(m: MomentSet) -> float:
 # Integer literals keep the arithmetic exact when the moments are
 # fractions.Fraction; on floats they give the same bits as float literals.
 
-@dataclass(frozen=True)
-class MseQuadratic:
+class MseQuadratic(NamedTuple):
     """Coefficients of the first-order MSE of the weighted family.
 
     As a function of the weights (w1, w2) the MSE is the quadratic

@@ -100,8 +100,8 @@ def _times(p, q):
 
 def rational_moments(m: MomentSet) -> MomentSet:
     """``m`` with every field the exact rational value of its float."""
-    return MomentSet(**{f.name: Fraction(getattr(m, f.name))
-                        for f in dataclasses.fields(m)})
+    return MomentSet(**{name: Fraction(getattr(m, name))
+                        for name in m._fields})
 
 
 def first_order(m: MomentSet, mu_y, w1, w2, B=0, A=0) -> tuple:

@@ -857,7 +857,7 @@ class TestTheoryCommand:
 
         def quadratic(m, bracket):
             quad = real(m, bracket)
-            return quad if bracket is None else Singular(**vars(quad))
+            return quad if bracket is None else Singular(*quad)
 
         monkeypatch.setattr(theory, "mse_quadratic", quadratic)
         code, out, _ = run_cli(

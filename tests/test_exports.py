@@ -3,6 +3,7 @@ layering of the engine and the CLI holds, and the theory path runs without
 numpy."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import meanerr
+from meanerr.estimators import Estimator, ExpBracket, PowerExpBracket
+from meanerr.ingest import ColumnMap, MeasuredDataset, preset
+from meanerr.simulate import SimulationConfig
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(meanerr.__path__))
 
@@ -60,7 +64,9 @@ def imported_names(module):
     # and derives no moments
     ("cli", {".estimators", "meanerr.estimators",
              ".moments.derive_moments", "meanerr.moments.derive_moments"}),
-], ids=["simulate", "cli"])
+    # theory builds only derived records, all of them NamedTuples
+    ("theory", {"dataclasses"}),
+], ids=["simulate", "cli", "theory"])
 def test_import_layering(module, forbidden):
     imported = imported_names(module)
     assert imported.isdisjoint(forbidden), imported & forbidden
@@ -80,6 +86,59 @@ def test_no_module_imports_numpy_at_load(module):
             top_level.update(alias.name for alias in node.names)
     assert {name for name in top_level
             if name.split(".")[0] == "numpy"} == set()
+
+
+# One record rule: a value the library derives from values it has already
+# checked is a NamedTuple, with these fields in this order; a value built
+# from outside input is a frozen dataclass whose __post_init__ checks it.
+RECORDS = {
+    "moments.MomentSet": ("var_ybar", "var_xbar", "cov_yxbar", "ratio"),
+    "theory.MseBreakdown": ("without_me", "me_contribution", "total"),
+    "theory.OptimalWeights": ("first", "second", "min_mse"),
+    "theory.MseQuadratic": ("mean_sq", "aux_sq", "cross", "mean_lin",
+                            "aux_lin"),
+    "theory.PlanRow": ("label", "cells", "spec", "breakdown", "note"),
+    "simulate.SimulationResult": ("estimator", "empirical_bias",
+                                  "empirical_mse", "mc_se_mse",
+                                  "replicates_used", "replicates_skipped"),
+    "cli.ReportTable": ("title", "columns", "rows"),
+}
+
+
+def resolve(dotted):
+    module, name = dotted.split(".")
+    return getattr(importlib.import_module(f"meanerr.{module}"), name)
+
+
+@pytest.mark.parametrize("dotted", RECORDS)
+def test_derived_records_are_named_tuples(dotted):
+    cls = resolve(dotted)
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    assert cls._fields == RECORDS[dotted]
+
+
+def validated_inputs():
+    """One valid instance of each input type, with a field to assign."""
+    params = preset("gujarati-table1")
+    return [
+        (params, "n"),
+        (Estimator(), "mean_weight"),
+        # no fields: a frozen instance refuses any attribute
+        (ExpBracket(), "linear"),
+        (PowerExpBracket(1.0, 0.5), "alpha"),
+        (SimulationConfig(params, 100, 0), "seed"),
+        (ColumnMap(), "true_study"),
+        (MeasuredDataset([1, 2], [3, 4], [1, 2], [3, 4]), "name"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, field", validated_inputs(),
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_validated_inputs_are_frozen_dataclasses(value, field):
+    assert dataclasses.is_dataclass(value) and not isinstance(value, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
 
 
 ROOT = Path(__file__).resolve().parents[1]
