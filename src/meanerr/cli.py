@@ -95,17 +95,12 @@ _MD_FORMATS = {
 
 # Notes on a row whose first-order total is zero or negative (the expansion
 # has left its range of validity there, and PRE or the relative gap is
-# undefined), and on a row whose cells named after the colon are blank: the
-# cells below, the only ones that can be nan or inf (a slope in aux_weight).
+# undefined), and on a row whose float cells named after the colon are blank.
 _NON_POSITIVE_NOTE = ("first-order mse is not positive: outside the "
                       "expansion's range, pre undefined")
 _NON_POSITIVE_GAP_NOTE = ("first-order mse is not positive: outside the "
                           "expansion's range, relative_gap undefined")
 _NOT_FINITE_NOTE = "not a finite float: "
-_THEORY_CHECKED = ("aux_weight", "without_me", "me_contribution", "total",
-                   "pre")
-_SIMULATE_CHECKED = ("aux_weight", "empirical_bias", "empirical_mse",
-                     "mc_se_mse", "theory_mse", "relative_gap")
 
 
 class _UsageError(Exception):
@@ -136,10 +131,11 @@ class ReportTable(NamedTuple):
     """One renderable table: a title, ordered columns, and record rows.
 
     Rows are mappings from column name to value (float, int, str, or None
-    for a cell that does not apply to the row).  Invariants maintained by
-    the builders: no float cell is nan or inf, every theory row with all
-    three legs satisfies total = without_me + me_contribution within 1e-9
-    relative; the mean-per-unit PRE is exactly 100.0 wherever it prints.
+    for a cell that does not apply to the row).  Invariants: no float cell
+    is nan or inf (``_table``, which makes every table, holds this one);
+    every theory row with all three legs satisfies total = without_me +
+    me_contribution within 1e-9 relative; the mean-per-unit PRE is exactly
+    100.0 wherever it prints.
     """
 
     title: str
@@ -149,20 +145,24 @@ class ReportTable(NamedTuple):
 
 # --------------------------------------------------------------- table builders
 
-def _blank_non_finite(row: dict, columns: tuple[str, ...]) -> None:
-    """Blank the nan and inf cells of ``columns``; the note names them."""
-    blank = [column for column in columns
-             if row[column] is not None and not math.isfinite(row[column])]
-    if blank:
-        row.update(dict.fromkeys(blank),
-                   note=_NOT_FINITE_NOTE + ", ".join(blank))
+def _table(title: str, columns: tuple[str, ...],
+           rows: Sequence[dict]) -> ReportTable:
+    """The table of ``rows``, each with its nan and inf float cells blank
+    and its note naming them in column order, in place of any other note."""
+    for row in rows:
+        blank = [column for column in columns
+                 if isinstance(row[column], float)
+                 and not math.isfinite(row[column])]
+        if blank:
+            row.update(dict.fromkeys(blank),
+                       note=_NOT_FINITE_NOTE + ", ".join(blank))
+    return ReportTable(title, columns, tuple(rows))
 
 
 def scenario_table(params: PopulationParams, source: str) -> ReportTable:
     """Single-row table of the eight population parameters."""
-    return ReportTable(title=f"population parameters ({source})",
-                       columns=_PARAMS_COLUMNS,
-                       rows=(dataclasses.asdict(params),))
+    return _table(f"population parameters ({source})", _PARAMS_COLUMNS,
+                  (dataclasses.asdict(params),))
 
 
 def theory_table(params: PopulationParams,
@@ -188,15 +188,9 @@ def theory_table(params: PopulationParams,
                 row["pre"] = theory.pre(reference, legs.total)
             elif legs.total <= 0:
                 row["note"] = _NON_POSITIVE_NOTE
-            # me_contribution is finite only where both legs are (both are
-            # nan where the slope in aux_weight is not); pre is None where
-            # the total is not positive
-            if not (math.isfinite(legs.me_contribution)
-                    and math.isfinite(row["pre"] or 0.0)):
-                _blank_non_finite(row, _THEORY_CHECKED)
         rows.append(row)
-    return ReportTable(title=f"first-order mse comparison (n={params.n})",
-                       columns=_THEORY_COLUMNS, rows=tuple(rows))
+    return _table(f"first-order mse comparison (n={params.n})",
+                  _THEORY_COLUMNS, rows)
 
 
 def simulation_table(config: SimulationConfig,
@@ -233,14 +227,11 @@ def simulation_table(config: SimulationConfig,
             # estimator field gives way to the row label
             row.update(result._asdict(), estimator=entry.label,
                        theory_mse=theory_mse, relative_gap=gap)
-        _blank_non_finite(row, _SIMULATE_CHECKED)
         rows.append(row)
     title = (f"monte carlo (n={config.params.n}, "
              f"replicates={config.replicates}, seed={config.seed}, "
              f"law={config.error_law.value})")
-    return (ReportTable(title=title, columns=_SIMULATE_COLUMNS,
-                        rows=tuple(rows)),
-            worst_gap)
+    return _table(title, _SIMULATE_COLUMNS, rows), worst_gap
 
 
 # ------------------------------------------------------------------- rendering

@@ -54,15 +54,8 @@ class EvaluationError(ValueError):
 _REAL = (int, float)
 
 
-def _finite_pair(a, b) -> bool:
-    """Whether both coefficients are finite ints or floats."""
-    return (isinstance(a, _REAL) and isinstance(b, _REAL)
-            and math.isfinite(a) and math.isfinite(b))
-
-
-def _check_finite_coeffs(obj, names) -> None:
-    """EvaluationError naming the first of ``names`` that is not finite;
-    the constructors call it only when ``_finite_pair`` fails."""
+def _check_finite(obj, names) -> None:
+    """EvaluationError naming the first of ``names`` that is not finite."""
     for name in names:
         v = getattr(obj, name)
         if not (isinstance(v, _REAL) and math.isfinite(v)):
@@ -107,8 +100,7 @@ class PowerExpBracket:
     beta: float
 
     def __post_init__(self) -> None:
-        if not _finite_pair(self.alpha, self.beta):
-            _check_finite_coeffs(self, ("alpha", "beta"))
+        _check_finite(self, ("alpha", "beta"))
 
     @property
     def linear(self) -> float:
@@ -153,8 +145,7 @@ class Estimator:
     bracket: Optional[Bracket] = None
 
     def __post_init__(self) -> None:
-        if not _finite_pair(self.mean_weight, self.aux_weight):
-            _check_finite_coeffs(self, ("mean_weight", "aux_weight"))
+        _check_finite(self, ("mean_weight", "aux_weight"))
 
 
 def evaluate_at_means(spec: Estimator, ybar, xbar, mu_x: float):

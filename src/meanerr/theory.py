@@ -127,10 +127,12 @@ class MseQuadratic(NamedTuple):
         w1, w2 = mean_weight, aux_weight
         # w2**2 rounds through libm pow, which the golden bytes rest on;
         # w2 (w2 X) where the square is not a normal float: past the range
-        # it raises, below it (a slope under 1.5e-154) it loses bits
+        # it raises, below it (a slope under 1.5e-154) it loses bits. The
+        # other squares are products, which give inf where ** raises.
         aux = (w2**2 * self.aux_sq if 2.0**-511 <= abs(w2) < 2.0**512
                else w2 * (w2 * self.aux_sq))
-        return (((w1 - 1) * mu_y) ** 2 + w1**2 * self.mean_sq
+        shift = (w1 - 1) * mu_y
+        return (shift * shift + w1 * w1 * self.mean_sq
                 + aux + 2 * w1 * w2 * self.cross
                 - 2 * w1 * self.mean_lin - 2 * w2 * self.aux_lin)
 
@@ -141,7 +143,8 @@ class MseQuadratic(NamedTuple):
         (auxiliary dispersion comparable to mu_x^2); there the stationary
         point is a saddle and ``minimize`` does not return a minimum.
         """
-        den = (mu_y**2 + self.mean_sq) * self.aux_sq - self.cross**2
+        den = ((mu_y * mu_y + self.mean_sq) * self.aux_sq
+               - self.cross * self.cross)
         return self.aux_sq > 0.0 and den > 0.0
 
     def minimize(self, mu_y: float) -> OptimalWeights:

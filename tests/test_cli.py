@@ -604,6 +604,29 @@ class TestCellsItCannotForm:
         assert (row["total"], row["pre"], row["note"]) == (
             1e-308, None, NOT_FINITE + "pre")
 
+    def test_every_float_cell_is_checked(self, capsys, monkeypatch):
+        # a nan in a cell that no row of the real plan leaves non-finite
+        # (beta) is blank and named in both tables and every format
+        real = theory.row_plan
+
+        def plan(params, grid):
+            rows = real(params, grid)
+            rows.insert(1, theory.PlanRow(
+                "power_exp", {"alpha": 1, "beta": math.nan}, None, None))
+            return rows
+
+        monkeypatch.setattr(theory, "row_plan", plan)
+        for argv in (["theory", "--preset", PRESET],
+                     ["simulate", "--preset", PRESET, "--replicates", "100"]):
+            outs = outputs(capsys, argv)
+            for fmt, parse in (("md", md_rows), ("csv", csv_rows),
+                               ("json", json_rows)):
+                assert "nan" not in outs[fmt]
+                row = parse(outs[fmt])[1]
+                assert (row["estimator"], row["beta"], row["note"]) == (
+                    "power_exp", None if fmt == "json" else "",
+                    NOT_FINITE + "beta")
+
     def test_blank_note_takes_precedence(self, monkeypatch, table_params):
         # a row both non-positive and blanked carries the blank note alone
         # (legs: without_me, me_contribution, total)

@@ -460,6 +460,15 @@ class TestWeightedPowerExp:
                            match="^optimal weights leave the float range$"):
             quad.minimize(1.0)
 
+    def test_squares_past_the_float_range_are_inf(self):
+        # finite input whose squares leave the float range gives inf, not
+        # OverflowError
+        quad = MseQuadratic(mean_sq=1.0, aux_sq=1.0, cross=0.0,
+                            mean_lin=0.0, aux_lin=0.0)
+        assert quad.mse(1.0, 1e200, 0.0) == math.inf
+        assert quad.mse(1e200, 2.0, 0.0) == math.inf
+        assert quad.positive_definite(1e200) is True
+
     def test_quadratic_matches_oracle_off_unit_weights(self, table_params):
         # away from the table's weights, the quadratic is the shipped first
         # order, exact in rationals, up to its rounding
