@@ -1,0 +1,140 @@
+"""Record the behaviour corpus that ``tests/test_corpus.py`` replays.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/record_corpus.py
+
+It writes the data files and ``tests/corpus/manifest.jsonl`` from the
+current tree, running every command line in a temporary working directory,
+and prints each command line whose row moved from the manifest it replaces
+("moved"), is new ("new") or is no longer recorded ("gone"). A change that
+moves output bytes on purpose rewrites the manifest in a commit that says
+so, and lists the moved command lines in the change log, as it does for
+golden files.
+
+The command lines are:
+
+* the corpus of ``tests/test_parse.py``, with its ``--data`` files;
+* every command line of ``tests/test_golden.py``, in every format, with
+  copies of its ``--data`` files;
+* ``SIMULATE``: small ``simulate`` runs over every error law and format;
+* ``EDGES``: ``theory`` and ``simulate`` over two range-edge tables of
+  ``tests/conftest.py`` and ``tests/test_cli.py``, which between them
+  print every note a row can carry.
+"""
+
+import json
+import os
+import random
+import shlex
+import shutil
+import tempfile
+
+import conftest
+import test_cli
+import test_golden
+import test_parse
+from test_corpus import CORPUS, MANIFEST, PLACEHOLDER, read_manifest, replay
+
+_PRESET = ["--preset", test_parse.PRESET]
+_SOURCES = (_PRESET, [*_PRESET, "--n", "2"],
+            ["--data", f"{PLACEHOLDER}/units-40.csv", "--n", "25"])
+# Every source, error law and format, at 100 to 300 replicates; then a grid
+# with a negative alpha, a non-positive row and the B = 0 bracket, a
+# Student-t df near 4, a larger n, the golden dataset, and a --tolerance
+# that passes and one that fails (exit 3).
+SIMULATE = [
+    ["simulate", *source, "--replicates", str(100 * (1 + seed % 3)),
+     "--seed", str(seed), *flags, "--format", fmt]
+    for seed, (source, flags, fmt) in enumerate(
+        (source, flags, fmt) for source in _SOURCES
+        for flags in test_golden._LAWS.values()
+        for fmt in test_golden.FORMATS)
+] + [
+    ["simulate", *_PRESET, "--replicates", "300", "--seed", "27",
+     "--grid=-3,2", "--grid=2,-1.5", "--grid=0,0", "--grid=1,-1",
+     "--format", fmt] for fmt in test_golden.FORMATS
+] + [
+    ["simulate", *_PRESET, "--replicates", "300", "--seed", "28",
+     "--error-law", "student-t", "--error-df", "4.5", "--format", "csv"],
+    ["simulate", *_PRESET, "--n", "1000", "--replicates", "100",
+     "--seed", "29", "--format", "csv"],
+    ["simulate", "--data", f"{PLACEHOLDER}/units.csv", "--n", "200",
+     "--replicates", "200", "--seed", "30", "--grid=-1,0.5",
+     "--error-law", "uniform", "--format", "csv"],
+    ["simulate", *_PRESET, "--replicates", "300", "--seed", "31",
+     "--tolerance", "10"],
+    ["simulate", *_PRESET, "--replicates", "300", "--seed", "31",
+     "--tolerance", "0.001"],
+]
+# Study values near 1e150 over an auxiliary mean near 0, and a perfectly
+# correlated table near 1e-150: blank cells, weights beyond the float
+# range, singular normal equations and a non-positive total. At n = 2 the
+# --grid=1,1400 bracket squares past the float range in the Monte Carlo.
+_EDGE_TABLES = {"wide.csv": conftest.WIDE_DATA,
+                "tiny.csv": test_cli.TestVarianceProductOutOfRange.TINY}
+EDGES = [
+    [*command, "--data", f"{PLACEHOLDER}/{name}", "--format", fmt]
+    for name in _EDGE_TABLES
+    for command in (["theory"], ["simulate", "--replicates", "300"])
+    for fmt in test_golden.FORMATS
+] + [
+    ["simulate", *_PRESET, "--n", "2", "--replicates", "300",
+     "--grid=1,1400", "--format", fmt] for fmt in test_golden.FORMATS
+]
+
+
+def parse_lines() -> list[list[str]]:
+    """``tests/test_parse.py``'s corpus, writing its data files here."""
+    rng = random.Random(test_parse.SEED)
+    paths = [test_parse.write_data(CORPUS, rows, rng)
+             for rows in test_parse.DATA_ROWS]
+    timed = [test_parse.theory_op(rng, paths, (0, 1),
+                                  {0: (-0.5, 2.0), 1: (-2.0, 1.25)}, ("md",))
+             for _ in range(300)]
+    betas = {alpha: (-2.0, 2.0) for alpha in range(-3, 4)}
+    sweep = [test_parse.theory_op(rng, paths, tuple(betas), betas,
+                                  ("md", "csv", "json"))
+             for _ in range(400)]
+    return timed + sweep + test_parse.edge_cases(paths[0])
+
+
+def golden_lines() -> list[list[str]]:
+    """Every golden command line in every format, copying its data files."""
+    for path in test_golden.GOLDEN.glob("units*.csv"):
+        shutil.copyfile(path, CORPUS / path.name)
+    cases = {**test_golden.CASES, **test_golden.CSV_CASES}
+    return [[*argv, "--format", fmt] for argv in cases.values()
+            for fmt in test_golden.FORMATS]
+
+
+def command_lines() -> list[list[str]]:
+    for name, text in _EDGE_TABLES.items():
+        (CORPUS / name).write_text(text, encoding="utf-8")
+    lines = [[arg.replace(str(test_golden.GOLDEN), str(CORPUS))
+              .replace(str(CORPUS), PLACEHOLDER) for arg in argv]
+             for argv in parse_lines() + golden_lines() + SIMULATE + EDGES]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, lines))]
+
+
+def main() -> None:
+    old = ({tuple(row["argv"]): row for row in read_manifest()}
+           if MANIFEST.exists() else {})
+    CORPUS.mkdir(exist_ok=True)
+    lines = command_lines()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        rows = [replay(argv) for argv in lines]
+    for row in rows:
+        before = old.pop(tuple(row["argv"]), None)
+        if before != row:
+            print("new" if before is None else "moved",
+                  shlex.join(row["argv"]))
+    for argv in old:
+        print("gone", shlex.join(argv))
+    with open(MANIFEST, "w", encoding="utf-8", newline="\n") as handle:
+        handle.writelines(json.dumps(row) + "\n" for row in rows)
+
+
+if __name__ == "__main__":
+    main()
