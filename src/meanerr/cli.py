@@ -236,20 +236,12 @@ def simulation_table(config: SimulationConfig,
 
 # ------------------------------------------------------------------- rendering
 
-def _full_precision(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _render_csv(table: ReportTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
+    # csv.writer writes None as an empty field and a float by its repr
     writer.writerow(table.columns)
-    for row in table.rows:
-        writer.writerow([_full_precision(row[c]) for c in table.columns])
+    writer.writerows([row[c] for c in table.columns] for row in table.rows)
     return buffer.getvalue()
 
 

@@ -32,9 +32,10 @@ array, not at module load: the theory reads only the coefficients, and a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
+
+from .moments import _finite, _shown
 
 __all__ = [
     "EvaluationError",
@@ -50,17 +51,13 @@ class EvaluationError(ValueError):
     """Raised for non-finite estimator coefficients and samples."""
 
 
-# A coefficient must be a finite instance of one of these.
-_REAL = (int, float)
-
-
 def _check_finite(obj, names) -> None:
     """EvaluationError naming the first of ``names`` that is not finite."""
     for name in names:
         v = getattr(obj, name)
-        if not (isinstance(v, _REAL) and math.isfinite(v)):
+        if not _finite(v):
             raise EvaluationError(f"{type(obj).__name__}.{name} must be finite, "
-                                  f"got {v!r}")
+                                  f"got {_shown(v)}")
 
 
 def _everywhere(xbar, value: bool):

@@ -25,6 +25,22 @@ class ParameterError(ValueError):
     """Raised when population parameters violate their domain constraints."""
 
 
+def _finite(value) -> bool:
+    """An int or float whose float value is finite: the one definition of a
+    finite coefficient or parameter. Each caller decides on bool."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value) -> str:
+    """``repr(value)``, but an int past the float range by name alone: its
+    repr can exceed Python's int-to-string digit limit."""
+    return ("an int past the float range"
+            if isinstance(value, int) and not _finite(value) else repr(value))
+
+
 @dataclass(frozen=True)
 class PopulationParams:
     """Superpopulation and error-law parameters for a sample of size n.
@@ -51,7 +67,7 @@ class PopulationParams:
             raise ParameterError(f"n must be at least 2, got {self.n}")
         values = (self.mu_y, self.mu_x, self.sigma_y2, self.sigma_x2,
                   self.rho, self.sigma_u2, self.sigma_v2)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(_finite, values)):
             raise ParameterError("all parameters must be finite")
         if self.mu_y == 0 or self.mu_x == 0:
             raise ParameterError("mu_y and mu_x must be nonzero")

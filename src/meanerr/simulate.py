@@ -48,7 +48,7 @@ from .estimators import (
     evaluate_at_means,
     hazard_free,
 )
-from .moments import PopulationParams
+from .moments import PopulationParams, _finite, _shown
 
 __all__ = [
     "ConfigError",
@@ -70,7 +70,6 @@ _MAX_REPLICATES = sys.maxsize // 8
 # MiB with blocks of 32 rows). Blocks of 8 * 800 and 128 * 800 doubles were
 # no faster at n = 10 (Student-t) or at n = 200 (Gaussian).
 _BLOCK_VALUES = 32 * 800
-_NON_FINITE_SAMPLE = "sample values must be finite"
 # Replicates per aggregation chunk. A run of at most this many evaluates
 # each spec once; a longer one evaluates every chunk but the last again
 # for the SE terms. Each working array is (specs, _CHUNK) doubles: 384 KiB
@@ -129,11 +128,10 @@ class SimulationConfig:
             raise ConfigError(f"error_law must be an ErrorLaw, got {self.error_law!r}")
         if self.error_law is ErrorLaw.STUDENT_T:
             df = self.error_df
-            if not (isinstance(df, (int, float)) and not isinstance(df, bool)
-                    and math.isfinite(df) and df > 4):
+            if isinstance(df, bool) or not (_finite(df) and df > 4):
                 raise ConfigError(
                     f"error_df must be a finite number > 4 for the Student-t "
-                    f"law, got {df!r}")
+                    f"law, got {_shown(df)}")
         elif self.error_df is not None:
             raise ConfigError(
                 f"error_df only applies to the Student-t law, got "
@@ -143,8 +141,9 @@ class SimulationConfig:
 class SimulationResult(NamedTuple):
     """Empirical moments of one estimator across the used replicates; no
     theory value rides along. A moment is nan when no replicate was used
-    (``mc_se_mse`` also when one was) and inf when a square or SE term
-    leaves the float range; the CLI's tables blank it and name it."""
+    and inf when a square or SE term leaves the float range. Both standard
+    errors follow one rule: nan below two used replicates, else inf where
+    the MSE is inf. The CLI's tables blank a nan or inf and name it."""
 
     estimator: Estimator
     empirical_bias: float
@@ -160,11 +159,10 @@ class SimulationResult(NamedTuple):
         Recovered from the stored moments: the replicate variance of the
         estimator is mse - bias^2 up to the ddof correction.
         """
-        used = self.replicates_used
-        if used < 2:
-            return math.nan
-        var = (self.empirical_mse - self.empirical_bias**2) * used / (used - 1)
-        return math.sqrt(max(var, 0.0) / used)
+        used, mse, bias = (self.replicates_used, self.empirical_mse,
+                           self.empirical_bias)
+        return (math.nan if used < 2 else math.inf if mse == math.inf
+                else math.sqrt(max(mse - bias * bias, 0.0) / (used - 1)))
 
 
 def _substream(seed: int) -> np.random.Generator:
@@ -269,7 +267,7 @@ def _observed_block(config: SimulationConfig, rng: np.random.Generator,
     y += p.mu_y
     y += u
     if not np.isfinite(groups[:2]).all():
-        raise EvaluationError(_NON_FINITE_SAMPLE)
+        raise EvaluationError("sample values must be finite")
     return y, x
 
 
@@ -387,10 +385,10 @@ def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
     """Empirical bias, MSE and MSE standard error of every spec.
 
     The replicates are taken ``_CHUNK`` at a time. A first pass sums each
-    spec's deviations and squares exactly; a second sums the SE terms
-    (s - mse)**2, which need the MSE, re-evaluating every chunk but the
-    last, whose block is still at hand. Every spec gets its result, as
-    ``SimulationResult`` says.
+    spec's deviations and squares exactly; a second, which needs the MSE,
+    sums every spec's SE terms (s - mse)**2 under the same mask,
+    re-evaluating every chunk but the last, whose block is still at hand.
+    Every spec gets its result, as ``SimulationResult`` says.
     """
     import numpy as np
     reps = ybars.size
@@ -410,26 +408,22 @@ def _aggregate(specs: Sequence[Estimator], ybars: np.ndarray,
     bias = [_mean(parts, n) for parts, n in zip(deviation_sums, counts)]
     mse = [_mean(parts, n) for parts, n in zip(square_sums, counts)]
 
+    column = np.array(mse)[:, np.newaxis]
+    se_sums = [[] for _ in specs]
+    for start, stop in chunks:
+        squares, ok = last if stop == reps else _moment_block(
+            specs, ybars[start:stop], xbars[start:stop], mu_y, mu_x)[1:]
+        # float_power squares through libm pow, as the scalar ``** 2`` of a
+        # numpy float does; ``** 2`` on the array and np.square multiply
+        # instead and can round the last bit differently
+        terms = np.zeros(squares.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.float_power(squares - column, 2.0, out=terms, where=ok)
+        _exact_parts(terms, se_sums)
     # the SE of an MSE beyond the float range is beyond it too
-    se_mse = [math.nan if count < 2 else math.inf for count in counts]
-    need = [i for i, count in enumerate(counts)
-            if count >= 2 and mse[i] < math.inf]
-    se_sums = [[] for _ in need]
-    if need:
-        column = np.array([[mse[i]] for i in need])
-        for start, stop in chunks:
-            squares, ok = last if stop == reps else _moment_block(
-                specs, ybars[start:stop], xbars[start:stop], mu_y, mu_x)[1:]
-            # float_power squares through libm pow, as the scalar ``** 2``
-            # of a numpy float does; ``** 2`` on the array and np.square
-            # multiply instead and can round the last bit differently
-            terms = np.zeros((len(need), stop - start))
-            with np.errstate(over="ignore"):
-                np.float_power(squares[need] - column, 2.0, out=terms,
-                               where=ok[need])
-            _exact_parts(terms, se_sums)
-    for i, parts in zip(need, se_sums):
-        se_mse[i] = math.sqrt(_mean(parts, counts[i] - 1) / counts[i])
+    se_mse = [math.nan if count < 2 else math.inf if value == math.inf
+              else math.sqrt(_mean(parts, count - 1) / count)
+              for parts, count, value in zip(se_sums, counts, mse)]
     return [SimulationResult(estimator=spec, empirical_bias=bias[i],
                              empirical_mse=mse[i], mc_se_mse=se_mse[i],
                              replicates_used=counts[i],

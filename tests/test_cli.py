@@ -681,6 +681,16 @@ class TestUsageAndHelp:
             cli.render_table(table, "xml")
 
 
+def test_csv_cell_rule():
+    # csv.writer's own rule: None is an empty field and a float its repr,
+    # so every float keeps its full precision
+    columns = tuple("abcdefg")
+    row = dict(zip(columns, [None, 0.1, 1e300, -0.0, 3, "a, b", 1e-320]))
+    table = cli.ReportTable("cells", columns, [row])
+    assert cli.render_table(table, "csv") == (
+        'a,b,c,d,e,f,g\n,0.1,1e+300,-0.0,3,"a, b",1e-320\n')
+
+
 class TestSharedParser:
     def test_parser_holds_no_state_between_calls(self, capsys):
         assert cli.build_parser() is cli.build_parser()

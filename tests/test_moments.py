@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from meanerr.estimators import Estimator, EvaluationError, PowerExpBracket
+from meanerr.ingest import preset
 from meanerr.moments import ParameterError, PopulationParams, derive_moments
+from meanerr.simulate import ConfigError, ErrorLaw, SimulationConfig
 
 from conftest import population_params
 
@@ -81,6 +85,56 @@ class TestValidation:
     def test_frozen(self, table_params):
         with pytest.raises(dataclasses.FrozenInstanceError):
             table_params.mu_y = 1.0
+
+
+class TestOneFinitenessRule:
+    """Every validated real field reads one rule: an int or float whose
+    float value is finite. An int past the float range is rejected with
+    the type's own error, and the message names it without printing it
+    (the repr of 10**5000 exceeds Python's int-to-string digit limit)."""
+
+    PAST = "got an int past the float range"
+
+    @pytest.mark.parametrize("big", [10**400, -10**400, 10**5000,
+                                     2**1024 - 2**970],
+                             ids=["1e400", "-1e400", "1e5000", "rounds-up"])
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda v: Estimator(v), EvaluationError,
+         "Estimator.mean_weight must be finite, " + PAST),
+        (lambda v: PowerExpBracket(v, 0.0), EvaluationError,
+         "PowerExpBracket.alpha must be finite, " + PAST),
+        (lambda v: PopulationParams(10, v, 170.0, 1278.0, 3300.0, 0.9, 0.0,
+                                    0.0),
+         ParameterError, "all parameters must be finite"),
+        (lambda v: SimulationConfig(preset(), 100, 1, ErrorLaw.STUDENT_T, v),
+         ConfigError,
+         "error_df must be a finite number > 4 for the Student-t law, " + PAST),
+    ], ids=["Estimator", "PowerExpBracket", "PopulationParams",
+            "SimulationConfig"])
+    def test_int_past_the_float_range(self, build, error, message, big):
+        with pytest.raises(error) as excinfo:
+            build(big)
+        assert str(excinfo.value) == message
+
+    def test_int_that_rounds_to_the_largest_float_is_finite(self):
+        big = 2**1024 - 2**971
+        assert float(big) == sys.float_info.max
+        assert Estimator(big).mean_weight == big
+        assert PowerExpBracket(1, big).beta == big
+        assert PopulationParams(10, big, 170.0, 1278.0, 3300.0, 0.9, 0.0,
+                                0.0).mu_y == big
+        assert SimulationConfig(preset(), 100, 1, ErrorLaw.STUDENT_T,
+                                big).error_df == big
+
+    @pytest.mark.parametrize("value", ["1", None, 1j])
+    def test_params_reject_a_non_number(self, value):
+        with pytest.raises(ParameterError, match="must be finite"):
+            PopulationParams(10, value, 170.0, 1278.0, 3300.0, 0.9, 0.0, 0.0)
+
+    def test_params_keep_accepting_bool(self):
+        # bool is an int, as before; only error_df rejects it
+        assert PopulationParams(10, True, 170.0, 1278.0, 3300.0, True, 0.0,
+                                False).rho is True
 
 
 class TestInvariants:

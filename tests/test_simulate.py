@@ -447,6 +447,52 @@ class TestSimulationResult:
         assert math.isnan(result.mc_se_bias)
 
 
+class TestOneStandardErrorRule:
+    """``mc_se_mse`` and ``mc_se_bias`` follow one rule: nan below two used
+    replicates, inf where the MSE is inf, else a value; neither raises."""
+
+    def test_inf_mse_gives_inf_standard_errors(self):
+        # a finite bias of -1e200 whose square leaves the float range
+        params = PopulationParams(n=10, mu_y=1e200, mu_x=1.0, sigma_y2=1e300,
+                                  sigma_x2=1.0, rho=0.5, sigma_u2=0.0,
+                                  sigma_v2=0.0)
+        (result,) = run_monte_carlo(SimulationConfig(params, 200, 1),
+                                    [Estimator(0.0, 0.0)])
+        assert (result.empirical_bias, result.replicates_used) == (-1e200, 200)
+        assert result.empirical_mse == math.inf
+        assert result.mc_se_mse == math.inf
+        assert result.mc_se_bias == math.inf
+
+    @pytest.mark.parametrize("mse", [math.inf, math.nan])
+    def test_one_replicate_gives_nan_whatever_the_mse(self, mse):
+        result = SimulationResult(
+            estimator=Estimator(), empirical_bias=1e200, empirical_mse=mse,
+            mc_se_mse=math.nan, replicates_used=1, replicates_skipped=99)
+        assert math.isnan(result.mc_se_bias)
+
+    def test_bias_squared_past_the_float_range_does_not_raise(self):
+        # stored moments a library caller can build: bias**2 would raise
+        result = SimulationResult(
+            estimator=Estimator(), empirical_bias=1e200, empirical_mse=1e300,
+            mc_se_mse=1.0, replicates_used=100, replicates_skipped=0)
+        assert result.mc_se_bias == 0.0
+
+    def test_both_standard_errors_at_aggregation(self):
+        # one spec per branch of the rule, side by side: one replicate used
+        # (a half power of a negative base is a hazard), an MSE beyond the
+        # float range, and a finite MSE
+        xbars = np.array([-1.0, -2.0, -3.0, 4.0])
+        ybars = np.array([1e200, -1e200, 1.0, 2.0])
+        single, inf_mse, plain = _aggregate(
+            [Estimator(bracket=PowerExpBracket(0.5, 0.0)), Estimator(),
+             Estimator(0.0, 1.0)], ybars, xbars, mu_y=0.0, mu_x=170.0)
+        assert single.replicates_used == 1
+        assert math.isnan(single.mc_se_mse) and math.isnan(single.mc_se_bias)
+        assert inf_mse.mc_se_mse == inf_mse.mc_se_bias == math.inf
+        assert math.isfinite(plain.mc_se_mse) and math.isfinite(
+            plain.mc_se_bias)
+
+
 class TestMomentsBeyondTheFloatRange:
     """Finite estimator values whose moments leave the float range give
     that spec's result with inf where a square or SE term overflows, and
