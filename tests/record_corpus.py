@@ -20,7 +20,12 @@ The command lines are:
 * ``SIMULATE``: small ``simulate`` runs over every error law and format;
 * ``EDGES``: ``theory`` and ``simulate`` over two range-edge tables of
   ``tests/conftest.py`` and ``tests/test_cli.py``, which between them
-  print every note a row can carry.
+  print every note a row can carry;
+* ``BENCH``: the benchmark's two ``simulate`` operations at full size;
+* ``DATA_EDGES``: ``theory`` and ``simulate`` over the tables of
+  ``tests/test_cli.py`` and ``tests/test_domain.py`` whose moments or
+  theory reach the edge of the float range, a table on which the Monte
+  Carlo engine skips replicates, and a 400-digit ``--seed``.
 """
 
 import json
@@ -32,6 +37,7 @@ import tempfile
 
 import conftest
 import test_cli
+import test_domain
 import test_golden
 import test_parse
 from test_corpus import CORPUS, MANIFEST, PLACEHOLDER, read_manifest, replay
@@ -83,6 +89,49 @@ EDGES = [
      "--grid=1,1400", "--format", fmt] for fmt in test_golden.FORMATS
 ]
 
+# The benchmark's desk check (n = 200, json) and Student-t run (the
+# preset's n = 10, csv), each at five seeds.
+_BENCH_SEEDS = (1, 2, 3, 3002524089, 2**32 - 1)
+BENCH = [
+    ["simulate", *_PRESET, "--n", "200", "--replicates", "1000",
+     "--seed", str(seed), "--format", "json"] for seed in _BENCH_SEEDS
+] + [
+    ["simulate", *_PRESET, "--replicates", "1500", "--seed", str(seed),
+     "--error-law", "student-t", "--error-df", "6", "--format", "csv"]
+    for seed in _BENCH_SEEDS
+]
+# Means near 1e160, a variance past the float range, perfectly correlated
+# columns near 1e100 and 1e154, a reference MSE that underflows in theory
+# at --n 1e20, a ratio of means past the float range, and an auxiliary
+# variance of 0 at n = 2. Each table's list holds its theory flags.
+_HUGE_N = ["--n", "100000000000000000000"]
+_DATA_TABLES = {
+    "large-means.csv": (test_cli.TestOverflowingData.LARGE_MEANS, []),
+    "large-spread.csv": (test_cli.TestOverflowingData.LARGE_SPREAD, []),
+    "huge.csv": (test_cli.TestVarianceProductOutOfRange.HUGE, []),
+    "huge-cov.csv": (test_cli.TestVarianceProductOutOfRange.HUGE_COV, []),
+    "underflowing-reference.csv": (
+        test_cli.TestCellsItCannotForm.UNDERFLOWING_REFERENCE, _HUGE_N),
+    "overflowing.csv": (test_domain.OVERFLOWING_DATA, []),
+    "zero-aux-variance.csv": (test_domain.ZERO_AUX_VARIANCE, []),
+    # an auxiliary mean near 0 beside a spread near 1: at n = 2 the
+    # --grid=1,30 bracket overflows on two replicates, which are skipped
+    "skipping.csv": ("Y,X,y,x\n1,-1,1.1,-1.2\n2,1.3,2.2,1.1\n3,0.2,2.9,0.3\n",
+                     []),
+}
+DATA_EDGES = [
+    [*command, "--data", f"{PLACEHOLDER}/{name}", "--format", fmt]
+    for name, (_, flags) in _DATA_TABLES.items()
+    for command in (["theory", *flags], ["simulate", "--replicates", "300"])
+    for fmt in test_golden.FORMATS
+] + [
+    ["simulate", "--data", f"{PLACEHOLDER}/skipping.csv", "--n", "2",
+     "--replicates", "300", "--grid=1,30", "--format", fmt]
+    for fmt in test_golden.FORMATS
+] + [
+    ["simulate", *_PRESET, "--replicates", "300", "--seed", "9" * 400],
+]
+
 
 def parse_lines() -> list[list[str]]:
     """``tests/test_parse.py``'s corpus, writing its data files here."""
@@ -109,11 +158,14 @@ def golden_lines() -> list[list[str]]:
 
 
 def command_lines() -> list[list[str]]:
-    for name, text in _EDGE_TABLES.items():
+    tables = {**_EDGE_TABLES,
+              **{name: text for name, (text, _) in _DATA_TABLES.items()}}
+    for name, text in tables.items():
         (CORPUS / name).write_text(text, encoding="utf-8")
     lines = [[arg.replace(str(test_golden.GOLDEN), str(CORPUS))
               .replace(str(CORPUS), PLACEHOLDER) for arg in argv]
-             for argv in parse_lines() + golden_lines() + SIMULATE + EDGES]
+             for argv in parse_lines() + golden_lines() + SIMULATE + EDGES
+             + BENCH + DATA_EDGES]
     return [list(argv) for argv in dict.fromkeys(map(tuple, lines))]
 
 
