@@ -15,15 +15,17 @@ one of
 
 so the mean per unit is ``Estimator()``, the exponential ratio estimator
 ``Estimator(bracket=ExpBracket())`` and the weighted difference
-``Estimator(w1, w2)``. Each bracket carries its value, its domain hazards
-and its expansion coefficients, 1 - B d - A d^2 in d = (xbar - mu_x)/mu_x,
-as ``linear`` (B) and ``quadratic`` (A).
+``Estimator(w1, w2)``. Each bracket carries its value, nan wherever it is
+undefined, and its expansion coefficients, 1 - B d - A d^2 in
+d = (xbar - mu_x)/mu_x, as ``linear`` (B) and ``quadratic`` (A).
 
 Evaluation is exact (the defining expressions, not their expansions). The
 kernel ``evaluate_at_means`` accepts scalars or numpy arrays so the Monte
 Carlo engine can run it over a whole replicate batch at once; for one
 sample, pass it the means of the ``(y, x)`` arrays ``draw_replicate`` (in
-``simulate``) returns, and ``hazard_free`` says where the value is defined.
+``simulate``) returns. Its value is nan where the estimator is undefined,
+and it can leave the float range elsewhere: the engine skips a replicate
+exactly where the value is not finite.
 
 numpy is imported inside the functions that evaluate a bracket or build an
 array, not at module load: the theory reads only the coefficients, and a
@@ -43,12 +45,11 @@ __all__ = [
     "ExpBracket",
     "PowerExpBracket",
     "evaluate_at_means",
-    "hazard_free",
 ]
 
 
 class EvaluationError(ValueError):
-    """Raised for non-finite estimator coefficients and samples."""
+    """Raised for non-finite estimator coefficients."""
 
 
 def _check_finite(obj, names) -> None:
@@ -60,12 +61,6 @@ def _check_finite(obj, names) -> None:
                                   f"got {_shown(v)}")
 
 
-def _everywhere(xbar, value: bool):
-    """``value`` in the shape of ``xbar``: an array, or a scalar."""
-    import numpy as np
-    return np.full(np.shape(xbar), value) if np.ndim(xbar) else value
-
-
 @dataclass(frozen=True)
 class ExpBracket:
     """exp((mu_x - xbar) / (mu_x + xbar)), which expands as
@@ -75,13 +70,10 @@ class ExpBracket:
     quadratic = -0.375
 
     def __call__(self, xbar, mu_x: float):
+        """nan at the division singularity xbar + mu_x = 0."""
         import numpy as np
-        return np.exp((mu_x - xbar) / (mu_x + xbar))
-
-    def hazard_free(self, xbar, mu_x: float):
-        """False at the division singularity xbar + mu_x = 0."""
-        import numpy as np
-        return np.not_equal(xbar + mu_x, 0.0)
+        total = mu_x + xbar
+        return np.exp((mu_x - xbar) / np.where(total == 0.0, np.nan, total))
 
 
 @dataclass(frozen=True)
@@ -110,21 +102,18 @@ class PowerExpBracket:
                 + self.alpha * self.beta / 2.0)
 
     def __call__(self, xbar, mu_x: float):
-        import numpy as np
-        power = np.power(xbar / mu_x, self.alpha)
-        return 2.0 - power * np.exp(self.beta * (xbar - mu_x) / (xbar + mu_x))
-
-    def hazard_free(self, xbar, mu_x: float):
-        """False at xbar + mu_x = 0, everywhere when mu_x = 0, and, for a
+        """nan at xbar + mu_x = 0, everywhere when mu_x = 0, and, for a
         non-integral alpha, where the power base xbar / mu_x <= 0 (which
         would leave the real line)."""
         import numpy as np
-        if mu_x == 0:
-            return _everywhere(xbar, False)
-        ok = np.not_equal(xbar + mu_x, 0.0)
+        mu_x = mu_x or np.nan   # at mu_x = 0 every term below is nan
+        base = xbar / mu_x
         if not float(self.alpha).is_integer():
-            ok = ok & np.greater(np.asarray(xbar) / mu_x, 0.0)
-        return ok
+            base = np.where(base > 0.0, base, np.nan)
+        total = xbar + mu_x
+        exponent = (self.beta * (xbar - mu_x)
+                    / np.where(total == 0.0, np.nan, total))
+        return 2.0 - np.power(base, self.alpha) * np.exp(exponent)
 
 
 Bracket = Union[ExpBracket, PowerExpBracket]
@@ -148,24 +137,10 @@ class Estimator:
 def evaluate_at_means(spec: Estimator, ybar, xbar, mu_x: float):
     """Estimator value as a function of the sample means.
 
-    ``ybar`` and ``xbar`` may be floats or numpy arrays of equal shape. No
-    hazard screening is performed here; sites feeding arrays are expected to
-    combine this with ``hazard_free`` and a finiteness check, which is what
-    the simulation engine does.
+    ``ybar`` and ``xbar`` may be floats or numpy arrays of equal shape.
+    The value is nan where the bracket is undefined; it may also overflow.
     """
     head = spec.mean_weight * ybar + spec.aux_weight * (mu_x - xbar)
     if spec.bracket is None:
         return head
     return head * spec.bracket(xbar, mu_x)
-
-
-def hazard_free(spec: Estimator, xbar, mu_x: float):
-    """True where evaluating ``spec`` at ``xbar`` is free of domain hazards.
-
-    Without a bracket there are none; otherwise the bracket's own rule
-    applies. Works elementwise on arrays. Overflow to non-finite values is
-    screened separately by callers.
-    """
-    if spec.bracket is None:
-        return _everywhere(xbar, True)
-    return spec.bracket.hazard_free(xbar, mu_x)

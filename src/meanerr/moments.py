@@ -41,6 +41,15 @@ def _shown(value) -> str:
             if isinstance(value, int) and not _finite(value) else repr(value))
 
 
+def _digits(value: int) -> str:
+    """``str(value)``, but an int past Python's int-to-string digit limit,
+    where ``str()`` raises ValueError, by name alone."""
+    try:
+        return str(value)
+    except ValueError:
+        return "an int past Python's digit limit"
+
+
 @dataclass(frozen=True)
 class PopulationParams:
     """Superpopulation and error-law parameters for a sample of size n.
@@ -64,7 +73,8 @@ class PopulationParams:
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise ParameterError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
-            raise ParameterError(f"n must be at least 2, got {self.n}")
+            raise ParameterError(
+                f"n must be at least 2, got {_digits(self.n)}")
         values = (self.mu_y, self.mu_x, self.sigma_y2, self.sigma_x2,
                   self.rho, self.sigma_u2, self.sigma_v2)
         if not all(map(_finite, values)):

@@ -24,10 +24,11 @@ of chunk size for any number of replicates. Each moment is ``math.fsum``
 of its parts: the exactly rounded sum of its terms, and so the same bits
 for any order of the replicates and any chunking.
 
-Replicates where an estimator lands in its domain hazard (or overflows) are
-excluded from that estimator's averages and surfaced through
-``replicates_skipped``; for every benchmark scenario the hazard region is
-tens of standard deviations away and the counter stays at zero.
+A replicate where an estimator's value is not finite (nan where the
+estimator is undefined, or a value past the float range) is excluded from
+that estimator's averages and surfaced through ``replicates_skipped``; for
+every benchmark scenario the undefined region is tens of standard
+deviations away and the counter stays at zero.
 
 numpy is imported inside the functions that draw or reduce arrays, once per
 block or chunk, not at module load: the CLI imports this module for every
@@ -42,13 +43,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
-from .estimators import (
-    Estimator,
-    EvaluationError,
-    evaluate_at_means,
-    hazard_free,
-)
-from .moments import PopulationParams, _finite, _shown
+from .estimators import Estimator, evaluate_at_means
+from .moments import PopulationParams, _digits, _finite, _shown
 
 __all__ = [
     "ConfigError",
@@ -94,7 +90,7 @@ def _check_int(value, name: str, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {_digits(value)}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,11 @@ class SimulationConfig:
         if self.replicates > _MAX_REPLICATES:
             raise ConfigError(
                 f"replicates must be <= {_MAX_REPLICATES}, got "
-                f"{self.replicates}")
+                f"{_digits(self.replicates)}")
         _check_int(self.seed, "seed", 0)
         if self.seed >= _MAX_SEED:
-            raise ConfigError(f"seed must be below 2**64, got {self.seed}")
+            raise ConfigError(
+                f"seed must be below 2**64, got {_digits(self.seed)}")
         if not isinstance(self.error_law, ErrorLaw):
             raise ConfigError(f"error_law must be an ErrorLaw, got {self.error_law!r}")
         if self.error_law is ErrorLaw.STUDENT_T:
@@ -266,8 +263,6 @@ def _observed_block(config: SimulationConfig, rng: np.random.Generator,
     y *= math.sqrt(p.sigma_y2)
     y += p.mu_y
     y += u
-    if not np.isfinite(groups[:2]).all():
-        raise EvaluationError("sample values must be finite")
     return y, x
 
 
@@ -285,7 +280,8 @@ def draw_replicate(config: SimulationConfig,
     _check_int(replicate_index, "replicate_index", 0)
     if replicate_index >= _MAX_SEED:
         raise ConfigError(
-            f"replicate_index must be below 2**64, got {replicate_index}")
+            f"replicate_index must be below 2**64, got "
+            f"{_digits(replicate_index)}")
     y, x = _observed_block(config, _substream(config.seed), replicate_index,
                            replicate_index + 1)
     return y[0], x[0]
@@ -349,7 +345,8 @@ def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Over one chunk of replicates, each spec's deviations from ``mu_y``
     and their squares, two ``(k, width)`` arrays with 0.0 where a replicate
-    is skipped, and the ``(k, width)`` mask of the replicates used."""
+    is skipped, and the ``(k, width)`` mask of the replicates used: those
+    where the spec's value is finite."""
     import numpy as np
     shape = (len(specs), ybars.size)
     deviations = np.zeros(shape)
@@ -359,8 +356,7 @@ def _moment_block(specs: Sequence[Estimator], ybars: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for spec, row, ok in zip(specs, deviations, mask):
             values = evaluate_at_means(spec, ybars, xbars, mu_x)
-            np.logical_and(hazard_free(spec, xbars, mu_x),
-                           np.isfinite(values), out=ok)
+            np.isfinite(values, out=ok)
             np.subtract(values, mu_y, out=row, where=ok)
         squares = deviations * deviations
     return deviations, squares, mask

@@ -17,7 +17,6 @@ from meanerr.estimators import (
     ExpBracket,
     PowerExpBracket,
     evaluate_at_means,
-    hazard_free,
 )
 from meanerr.simulate import _aggregate
 
@@ -164,49 +163,53 @@ def engine_skips(spec, ybar, xbar, mu_x):
 
 
 class TestHazards:
-    """Each hazard as the engine meets it: ``hazard_free`` is False there and
-    the aggregation counts the replicate in ``replicates_skipped``."""
+    """Each hazard as the engine meets it: the value is nan there, also on
+    Python floats, and the aggregation counts the replicate in
+    ``replicates_skipped``."""
 
     def test_exp_ratio_singular_denominator(self):
-        assert not hazard_free(EXP_RATIO, -6.0, mu_x=6.0)
+        assert math.isnan(evaluate_at_means(EXP_RATIO, 1.5, -6.0, mu_x=6.0))
         assert engine_skips(EXP_RATIO, 1.5, -6.0, mu_x=6.0) == 1
 
-    def test_power_exp_singular_denominator(self):
-        assert not hazard_free(power_exp(1.0, 0.0), -6.0, mu_x=6.0)
-        assert engine_skips(power_exp(1.0, 0.0), 1.5, -6.0, mu_x=6.0) == 1
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_power_exp_singular_denominator(self, beta):
+        spec = power_exp(1.0, beta)
+        assert math.isnan(evaluate_at_means(spec, 1.5, -6.0, mu_x=6.0))
+        assert engine_skips(spec, 1.5, -6.0, mu_x=6.0) == 1
 
-    def test_fractional_power_of_negative_base(self):
-        assert not hazard_free(power_exp(0.5, 0.0), -3.0, mu_x=6.0)
-        assert engine_skips(power_exp(0.5, 0.0), 1.5, -3.0, mu_x=6.0) == 1
+    @pytest.mark.parametrize("xbar", [-3.0, 0.0])
+    def test_fractional_power_of_non_positive_base(self, xbar):
+        # 0.0 ** 0.5 is 0.0, so at xbar = 0 the bracket would read 2
+        spec = power_exp(0.5, 0.0)
+        assert math.isnan(evaluate_at_means(spec, 1.5, xbar, mu_x=6.0))
+        assert engine_skips(spec, 1.5, xbar, mu_x=6.0) == 1
 
     def test_integral_power_of_negative_base_is_fine(self):
-        assert hazard_free(power_exp(2.0, 0.0), -3.0, mu_x=6.0)
         got = evaluate_at_means(power_exp(2.0, 0.0), 1.5, -3.0, mu_x=6.0)
         assert got == pytest.approx(1.5 * (2.0 - 0.25), rel=1e-15)
         assert engine_skips(power_exp(2.0, 0.0), 1.5, -3.0, mu_x=6.0) == 0
 
     def test_weighted_difference_has_no_hazard_there(self):
         spec = Estimator(1.0, 1.0)
-        assert hazard_free(spec, -6.0, mu_x=6.0)
         assert evaluate_at_means(spec, 1.5, -6.0, 6.0) == 1.5 + 12.0
         assert engine_skips(spec, 1.5, -6.0, mu_x=6.0) == 0
 
     def test_overflow_to_non_finite(self):
-        # clear of every hazard, but the exponent overflows
+        # clear of every hazard, but the exponent overflows: -inf, not nan
         spec = power_exp(0.0, -1000.0)
-        assert hazard_free(spec, -5.999999999, mu_x=6.0)
         with np.errstate(over="ignore"):
             value = evaluate_at_means(spec, 1.0, -5.999999999, mu_x=6.0)
-        assert not math.isfinite(value)
+        assert value == -math.inf
         assert engine_skips(spec, 1.0, -5.999999999, mu_x=6.0) == 1
 
-    def test_hazard_free_vectorizes(self):
+    def test_nan_vectorizes(self):
         xbar = np.array([-6.0, -3.0, 3.0])
-        mask = hazard_free(power_exp(0.5, 0.0), xbar, mu_x=6.0)
-        assert mask.tolist() == [False, False, True]
-        mask = hazard_free(EXP_RATIO, xbar, mu_x=6.0)
-        assert mask.tolist() == [False, True, True]
-        assert hazard_free(MEAN_PER_UNIT, xbar, mu_x=6.0).all()
+        ybar = np.full(3, 1.5)
+        for spec, nan in ((power_exp(0.5, 0.0), [True, True, False]),
+                          (EXP_RATIO, [True, False, False]),
+                          (MEAN_PER_UNIT, [False, False, False])):
+            values = evaluate_at_means(spec, ybar, xbar, mu_x=6.0)
+            assert np.isnan(values).tolist() == nan
 
 
 class TestSpecValidationAndDescribe:
@@ -321,15 +324,18 @@ class TestKernelEquivalence:
                 got = evaluate_at_means(spec, ybar, xbar, mu_x)
                 want = _reference_value(family, w1, w2, alpha, beta, ybar,
                                         xbar, mu_x)
-            assert np.array_equal(np.asarray(got).view(np.int64),
-                                  np.asarray(want).view(np.int64)), \
-                (trial, spec)
-            assert np.array_equal(hazard_free(spec, xbar, mu_x),
-                                  _reference_hazard_free(family, alpha, xbar,
-                                                         mu_x)), (trial, spec)
+            # the reference's bits where it is defined, nan where not
+            free = _reference_hazard_free(family, alpha, xbar, mu_x)
+            assert np.array_equal(got[free].view(np.int64),
+                                  want[free].view(np.int64)), (trial, spec)
+            assert np.isnan(got[~free]).all(), (trial, spec)
 
     def test_zero_mu_x_is_all_hazard_for_power_exp(self):
+        # nan ** 0 is 1, so alpha = 0 needs the exponent's nan
         xbar = np.array([-1.0, 0.5, 2.0])
-        assert not hazard_free(power_exp(1.0, 0.0), xbar, 0.0).any()
-        assert not hazard_free(power_exp(1.0, 0.0), 0.5, 0.0)
-        assert hazard_free(MEAN_PER_UNIT, 0.5, 0.0)
+        for spec in (power_exp(1.0, 0.0), power_exp(0.0, 0.0)):
+            assert np.isnan(evaluate_at_means(spec, 1.0, xbar, 0.0)).all()
+            assert math.isnan(evaluate_at_means(spec, 1.0, 0.5, 0.0))
+            assert engine_skips(spec, 1.0, 0.5, mu_x=0.0) == 2
+        assert evaluate_at_means(MEAN_PER_UNIT, 1.0, 0.5, 0.0) == 1.0
+        assert engine_skips(MEAN_PER_UNIT, 1.0, 0.5, mu_x=0.0) == 0

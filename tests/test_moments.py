@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from meanerr.estimators import Estimator, EvaluationError, PowerExpBracket
 from meanerr.ingest import preset
 from meanerr.moments import ParameterError, PopulationParams, derive_moments
-from meanerr.simulate import ConfigError, ErrorLaw, SimulationConfig
+from meanerr.simulate import (
+    _MAX_REPLICATES,
+    ConfigError,
+    ErrorLaw,
+    SimulationConfig,
+    draw_replicate,
+)
 
 from conftest import population_params
 
@@ -135,6 +141,35 @@ class TestOneFinitenessRule:
         # bool is an int, as before; only error_df rejects it
         assert PopulationParams(10, True, 170.0, 1278.0, 3300.0, True, 0.0,
                                 False).rho is True
+
+
+class TestIntPastTheDigitLimit:
+    """An int check names an int past Python's int-to-string digit limit
+    without printing it, and so raises the type's own error, not the
+    ValueError of ``str()``; shorter ints print in full."""
+
+    PAST = "got an int past Python's digit limit"
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SimulationConfig(preset(), -10**5000, 1), ConfigError,
+         "replicates must be >= 100, " + PAST),
+        (lambda: SimulationConfig(preset(), 10**5000, 1), ConfigError,
+         f"replicates must be <= {_MAX_REPLICATES}, " + PAST),
+        (lambda: SimulationConfig(preset(), 100, 10**5000), ConfigError,
+         "seed must be below 2**64, " + PAST),
+        (lambda: dataclasses.replace(preset(), n=-10**5000), ParameterError,
+         "n must be at least 2, " + PAST),
+        (lambda: draw_replicate(SimulationConfig(preset(), 100, 1),
+                                10**5000), ConfigError,
+         "replicate_index must be below 2**64, " + PAST),
+        (lambda: SimulationConfig(preset(), 100, 10**399), ConfigError,
+         f"seed must be below 2**64, got {10**399}"),
+    ], ids=["replicates-low", "replicates-high", "seed", "n",
+            "replicate-index", "seed-400-digits"])
+    def test_message(self, build, error, message):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
 
 
 class TestInvariants:

@@ -11,7 +11,6 @@ from meanerr import simulate
 from meanerr.cli import simulation_table
 from meanerr.estimators import (
     Estimator,
-    EvaluationError,
     ExpBracket,
     PowerExpBracket,
     evaluate_at_means,
@@ -267,23 +266,28 @@ class TestBlockKernel:
             assert np.array_equal(ybars, ref_y[:count])
             assert np.array_equal(xbars, ref_x[:count])
 
-    def test_non_finite_sample_raises(self, config, monkeypatch):
+    def test_non_finite_sample_is_skipped(self, config, monkeypatch):
+        # a nan in replicate 0's last auxiliary value makes every value of
+        # that replicate nan: it is skipped, and the others are used
         def poisoned(cfg, rng):
             fill, error_scale = _row_filler(cfg, rng)
 
             def poisoned_fill(row):
                 fill(row)
-                row[-1] = np.nan
+                if rng.bit_generator.state["state"]["counter"][2] == 0:
+                    row[-1] = np.nan
             return poisoned_fill, error_scale
 
         monkeypatch.setattr(simulate, "_row_filler", poisoned)
-        message = "sample values must be finite"
+        specs = [Estimator(), EXP_RATIO, Estimator(0.5, 0.5)]
         for law in KERNEL_LAWS:
             cfg = dataclasses.replace(config, **law)
-            with pytest.raises(EvaluationError, match=message):
-                run_monte_carlo(cfg, [Estimator()])
-            with pytest.raises(EvaluationError, match=message):
-                draw_replicate(cfg, 0)
+            for result in run_monte_carlo(cfg, specs):
+                assert (result.replicates_used,
+                        result.replicates_skipped) == (99, 1)
+                assert math.isfinite(result.empirical_mse)
+            y, x = draw_replicate(cfg, 0)
+            assert np.isfinite(y).all() and np.isnan(x[-1])
 
 
 def standardized_errors(config, size):
