@@ -22,6 +22,9 @@ The command lines are:
   ``tests/conftest.py`` and ``tests/test_cli.py``, which between them
   print every note a row can carry;
 * ``BENCH``: the benchmark's two ``simulate`` operations at full size;
+* ``LAWS``: ``simulate`` under the uniform and Student-t laws at the
+  benchmark's n = 200 and at n = 1000, over replicate counts whose draw
+  blocks do not split evenly, at the largest seed;
 * ``DATA_EDGES``: ``theory`` and ``simulate`` over the tables of
   ``tests/test_cli.py`` and ``tests/test_domain.py`` whose moments or
   theory reach the edge of the float range, a table on which the Monte
@@ -100,6 +103,16 @@ BENCH = [
      "--error-law", "student-t", "--error-df", "6", "--format", "csv"]
     for seed in _BENCH_SEEDS
 ]
+# The uniform and Student-t laws at n = 200 (32 replicates per draw block)
+# and n = 1000 (6 per block): 100, 127 and 1001 replicates make 4, 4 and 32
+# blocks at n = 200 and 17, 22 and 167 at n = 1000, the last one short.
+LAWS = [
+    ["simulate", *_PRESET, "--n", str(n), "--replicates", str(reps),
+     "--seed", str(2**64 - 1), *flags, "--format", fmt]
+    for flags in (test_golden._LAWS["uniform"], test_golden._LAWS["student-t"])
+    for n in (200, 1000) for reps in (100, 127, 1001)
+    for fmt in test_golden.FORMATS
+]
 # Means near 1e160, a variance past the float range, perfectly correlated
 # columns near 1e100 and 1e154, a reference MSE that underflows in theory
 # at --n 1e20, a ratio of means past the float range, and an auxiliary
@@ -165,7 +178,7 @@ def command_lines() -> list[list[str]]:
     lines = [[arg.replace(str(test_golden.GOLDEN), str(CORPUS))
               .replace(str(CORPUS), PLACEHOLDER) for arg in argv]
              for argv in parse_lines() + golden_lines() + SIMULATE + EDGES
-             + BENCH + DATA_EDGES]
+             + BENCH + LAWS + DATA_EDGES]
     return [list(argv) for argv in dict.fromkeys(map(tuple, lines))]
 
 
