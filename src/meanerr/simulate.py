@@ -6,8 +6,8 @@ on the observed means; the first-order theory is left to the caller.
 Replicate i draws from its own counter-based Philox substream: key = seed,
 with i in the high counter words (``_substream_state``).
 
-The engine makes one generator per run and resets it to the start of each
-replicate's substream by setting the counter word of one reused state;
+The engine makes one generator per worker and resets it to the start of
+each replicate's substream by setting the counter word of one reused state;
 Philox output depends only on (key, counter), so the variates are exactly
 those of a fresh substream. Replicates are drawn in blocks of about
 ``_BLOCK_VALUES`` doubles (32 rows at n = 200, 640 at n = 10), and the
@@ -15,6 +15,19 @@ observed values and their means are computed in place over the whole block
 in the per-replicate operation order, so the means equal those of drawing
 one replicate at a time bit for bit: ``draw_replicate`` is a one-row call
 of the same kernel and returns that replicate's observed ``(y, x)`` arrays.
+
+From ``_THREADED_MIN_N`` up, a run of at least two blocks with at least two
+usable CPUs splits its blocks into two contiguous halves: the calling
+thread fills and averages the first, one ``threading.Thread`` the second,
+each with its own generator, and the worker writes only its own slices of
+the means. numpy's Philox fills release the GIL, so the halves overlap.
+Each replicate's variates depend on (seed, index) alone and every mean is
+taken over one replicate's row, so the means, and every output byte, are
+the same whichever path runs and whatever the CPU count. The worker calls
+no public function, is joined before the means are read, and its
+exception is raised in the caller; aggregation stays on the calling
+thread. Below the threshold the per-row work that holds the GIL outweighs
+the overlap (see ``_THREADED_MIN_N``).
 
 The means are aggregated over every spec at once, ``_CHUNK`` replicates at
 a time. Each chunk's deviations, squares and SE terms are split into a few
@@ -38,6 +51,7 @@ command, and only ``simulate`` needs the engine.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +73,8 @@ _MAX_SEED = 2**64
 # Largest run whose two float64 arrays of replicate means numpy can index:
 # sys.maxsize is the largest np.intp, and numpy is not loaded at import.
 _MAX_REPLICATES = sys.maxsize // 8
+# Largest n whose one-replicate block of 4n float64 values numpy can shape.
+_MAX_N = sys.maxsize // 32
 # Doubles drawn per block, 4n per replicate: 32 replicates at n = 200, 640
 # at n = 10, and one at any n above 6400. Up to n = 6400 the block, its
 # contiguous copy and one temporary take about 0.5 MiB; the traced peak of
@@ -66,6 +82,14 @@ _MAX_REPLICATES = sys.maxsize // 8
 # MiB with blocks of 32 rows). Blocks of 8 * 800 and 128 * 800 doubles were
 # no faster at n = 10 (Student-t) or at n = 200 (Gaussian).
 _BLOCK_VALUES = 32 * 800
+# Sample size from which _replicate_means fills its draw blocks on two
+# threads. Sustained runs of 60 calls (R = 1000, one process per run, two
+# CPUs) read, serial -> threaded, in ms: Gaussian 8.6-8.7 -> 11.9-13.0 at
+# n = 100 and 15.8-18.3 -> 11.0-15.1 at n = 200; Student-t (df 6)
+# 23.2-24.5 -> 23.8-31.2 at n = 150 and 30.0-46.1 -> 26.2-30.7 at n = 200.
+# Below it the per-replicate seek and call overhead, which hold the GIL,
+# outweigh the overlap of the fills, which release it.
+_THREADED_MIN_N = 200
 # Replicates per aggregation chunk. A run of at most this many evaluates
 # each spec once; a longer one evaluates every chunk but the last again
 # for the SE terms. Each working array is (specs, _CHUNK) doubles: 384 KiB
@@ -112,6 +136,10 @@ class SimulationConfig:
         if not isinstance(self.params, PopulationParams):
             raise ConfigError(
                 f"params must be PopulationParams, got {type(self.params).__name__}")
+        if self.params.n > _MAX_N:
+            raise ConfigError(
+                f"n must be <= {_MAX_N} to draw one replicate's 4n values, "
+                f"got {_digits(self.params.n)}")
         _check_int(self.replicates, "replicates", 100)
         if self.replicates > _MAX_REPLICATES:
             raise ConfigError(
@@ -287,19 +315,54 @@ def draw_replicate(config: SimulationConfig,
     return y[0], x[0]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_means(config: SimulationConfig, starts: range, ybars: np.ndarray,
+                xbars: np.ndarray) -> None:
+    """Write the means of the blocks at ``starts`` into their slices of
+    ``ybars`` and ``xbars``, from one generator that ``_observed_block``
+    seeks per replicate."""
+    rng = _substream(config.seed)
+    for start in starts:
+        stop = min(start + starts.step, config.replicates)
+        y, x = _observed_block(config, rng, start, stop)
+        y.mean(axis=1, out=ybars[start:stop])
+        x.mean(axis=1, out=xbars[start:stop])
+
+
 def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     reps = config.replicates
     ybars = np.empty(reps)
     xbars = np.empty(reps)
-    # one generator for the run; _observed_block seeks it per replicate
-    rng = _substream(config.seed)
-    rows = _block_rows(config.params.n)
-    for start in range(0, reps, rows):
-        stop = min(start + rows, reps)
-        y, x = _observed_block(config, rng, start, stop)
-        y.mean(axis=1, out=ybars[start:stop])
-        x.mean(axis=1, out=xbars[start:stop])
+    starts = range(0, reps, _block_rows(config.params.n))
+    if (config.params.n < _THREADED_MIN_N or len(starts) < 2
+            or _usable_cpus() < 2):
+        _fill_means(config, starts, ybars, xbars)
+        return ybars, xbars
+    import threading
+    half = (len(starts) + 1) // 2
+    errors = []
+
+    def second_half() -> None:
+        try:
+            _fill_means(config, starts[half:], ybars, xbars)
+        except BaseException as error:      # re-raised by the caller
+            errors.append(error)
+
+    worker = threading.Thread(target=second_half)
+    worker.start()
+    try:
+        _fill_means(config, starts[:half], ybars, xbars)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
     return ybars, xbars
 
 

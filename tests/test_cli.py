@@ -18,7 +18,7 @@ from meanerr.cli import DEFAULT_GRID, main
 from meanerr.estimators import ExpBracket, PowerExpBracket
 from meanerr.ingest import ColumnMap, compute_params, load_dataset, preset
 from meanerr.moments import PopulationParams, derive_moments
-from meanerr.simulate import SimulationConfig, _replicate_means
+from meanerr.simulate import _MAX_N, SimulationConfig, _replicate_means
 from meanerr.theory import MseBreakdown, SingularSystemError
 
 from conftest import WIDE_DATA, params_from_dict, reference_result
@@ -595,6 +595,17 @@ class TestCellsItCannotForm:
             assert [(row["pre"] in ("", None), row["note"])
                     for row in parse(outs[fmt])] == [
                 (row["pre"] == "", row["note"]) for row in rows]
+
+    def test_simulate_names_an_n_past_one_block(self, capsys, tmp_path):
+        # theory runs at this n; one replicate's 4n values would not fit
+        # in one numpy array, and simulate says so before drawing
+        path = tmp_path / "tiny.csv"
+        path.write_text(self.UNDERFLOWING_REFERENCE, encoding="utf-8")
+        assert run_cli(capsys, [
+            "simulate", "--data", str(path), "--n", "100000000000000000000",
+            "--replicates", "300"]) == (
+            2, "", f"error: n must be <= {_MAX_N} to draw one replicate's "
+                   f"4n values, got 100000000000000000000\n")
 
     def test_pre_beyond_the_float_range(self, monkeypatch, table_params):
         # a finite positive total so small that 100 * reference / total

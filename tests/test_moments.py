@@ -14,6 +14,7 @@ from meanerr.estimators import Estimator, EvaluationError, PowerExpBracket
 from meanerr.ingest import preset
 from meanerr.moments import ParameterError, PopulationParams, derive_moments
 from meanerr.simulate import (
+    _MAX_N,
     _MAX_REPLICATES,
     ConfigError,
     ErrorLaw,
@@ -159,12 +160,15 @@ class TestIntPastTheDigitLimit:
          "seed must be below 2**64, " + PAST),
         (lambda: dataclasses.replace(preset(), n=-10**5000), ParameterError,
          "n must be at least 2, " + PAST),
+        (lambda: SimulationConfig(dataclasses.replace(preset(), n=10**5000),
+                                  100, 1), ConfigError,
+         f"n must be <= {_MAX_N} to draw one replicate's 4n values, " + PAST),
         (lambda: draw_replicate(SimulationConfig(preset(), 100, 1),
                                 10**5000), ConfigError,
          "replicate_index must be below 2**64, " + PAST),
         (lambda: SimulationConfig(preset(), 100, 10**399), ConfigError,
          f"seed must be below 2**64, got {10**399}"),
-    ], ids=["replicates-low", "replicates-high", "seed", "n",
+    ], ids=["replicates-low", "replicates-high", "seed", "n", "simulate-n",
             "replicate-index", "seed-400-digits"])
     def test_message(self, build, error, message):
         with pytest.raises(error) as excinfo:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -83,6 +86,21 @@ class TestConfigValidation:
         # the bound is written without numpy, which the module does not
         # load at import; it must stay the numpy allocation bound
         assert simulate._MAX_REPLICATES == np.iinfo(np.intp).max // 8
+
+    def test_n_bound_is_one_block_shape_bound(self, table_params):
+        # one replicate's block is 4n float64 values, 32n bytes, and numpy
+        # shapes no array of more than np.intp's max bytes
+        limit = simulate._MAX_N
+        assert limit == np.iinfo(np.intp).max // 32
+        SimulationConfig(params=dataclasses.replace(table_params, n=limit),
+                         replicates=100, seed=SEED)
+        with pytest.raises(ConfigError) as excinfo:
+            SimulationConfig(
+                params=dataclasses.replace(table_params, n=limit + 1),
+                replicates=100, seed=SEED)
+        assert str(excinfo.value) == (
+            f"n must be <= {limit} to draw one replicate's 4n values, got "
+            f"{limit + 1}")
 
     def test_rejects_non_params(self):
         with pytest.raises(ConfigError):
@@ -288,6 +306,150 @@ class TestBlockKernel:
                 assert math.isfinite(result.empirical_mse)
             y, x = draw_replicate(cfg, 0)
             assert np.isfinite(y).all() and np.isnan(x[-1])
+
+
+def usable_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+def fill_threads(monkeypatch):
+    """The thread idents of ``_fill_means`` calls, in call order."""
+    idents = []
+    fill = simulate._fill_means
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        fill(*args)
+
+    monkeypatch.setattr(simulate, "_fill_means", recorded)
+    return idents
+
+
+class TestTwoThreads:
+    """From ``_THREADED_MIN_N`` up, the draw blocks are filled on two
+    threads; the means are those of the serial path bit for bit."""
+
+    @pytest.mark.parametrize(
+        "law", KERNEL_LAWS, ids=[law["error_law"].value for law in KERNEL_LAWS])
+    @pytest.mark.parametrize("n", [simulate._THREADED_MIN_N, 1000])
+    def test_threaded_means_equal_serial(self, table_params, monkeypatch,
+                                         n, law):
+        idents = fill_threads(monkeypatch)
+        for reps in (100, 127, 1001):
+            cfg = SimulationConfig(
+                params=dataclasses.replace(table_params, n=n),
+                replicates=reps, seed=2**64 - 1, **law)
+            usable_cpus(monkeypatch, 1)
+            serial = _replicate_means(cfg)
+            assert len(set(idents)) == 1
+            idents.clear()
+            usable_cpus(monkeypatch, 2)
+            threaded = _replicate_means(cfg)
+            assert len(set(idents)) == 2
+            idents.clear()
+            for want, got in zip(serial, threaded):
+                assert np.array_equal(want.view(np.int64),
+                                      got.view(np.int64))
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_an_exception_in_either_half_reaches_the_caller(
+            self, table_params, monkeypatch, half):
+        usable_cpus(monkeypatch, 2)
+        cfg = SimulationConfig(
+            params=dataclasses.replace(table_params, n=1000),
+            replicates=100, seed=SEED)
+        # 17 blocks of 6 replicates: the caller fills blocks 0 to 8, the
+        # worker blocks 9 to 16
+        failing = 0 if half == "first" else 9 * 6
+        block = simulate._observed_block
+
+        def observed(config, rng, start, stop):
+            if start == failing:
+                raise ZeroDivisionError(f"block at {start}")
+            return block(config, rng, start, stop)
+
+        monkeypatch.setattr(simulate, "_observed_block", observed)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=f"^block at {failing}$"):
+            run_monte_carlo(cfg, [Estimator()])
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, cpus, block_values", [
+        (simulate._THREADED_MIN_N - 1, 2, None),
+        (simulate._THREADED_MIN_N, 1, None),
+        (simulate._THREADED_MIN_N, 2, 4 * simulate._THREADED_MIN_N * 100),
+    ], ids=["below-threshold", "one-cpu", "one-block"])
+    def test_no_thread_starts(self, table_params, monkeypatch, n, cpus,
+                              block_values):
+        usable_cpus(monkeypatch, cpus)
+        if block_values is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", block_values)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        cfg = SimulationConfig(
+            params=dataclasses.replace(table_params, n=n), replicates=100,
+            seed=SEED)
+        run_monte_carlo(cfg, [Estimator()])
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert simulate._usable_cpus() == 4
+
+    def test_estimators_evaluated_on_the_calling_thread(self, table_params,
+                                                       monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        idents = fill_threads(monkeypatch)
+        evaluated = []
+
+        def evaluate(*args):
+            evaluated.append(threading.get_ident())
+            return evaluate_at_means(*args)
+
+        monkeypatch.setattr(simulate, "evaluate_at_means", evaluate)
+        cfg = SimulationConfig(
+            params=dataclasses.replace(table_params, n=1000),
+            replicates=100, seed=SEED)
+        run_monte_carlo(cfg, [Estimator(), EXP_RATIO])
+        assert len(set(idents)) == 2
+        assert set(evaluated) == {threading.get_ident()}
+
+    def test_concurrent_runs_under_fast_switching(self, table_params,
+                                                  monkeypatch):
+        # three runs at once on two threads each, more threads than CPUs,
+        # switching every microsecond: each gets the serial path's means
+        usable_cpus(monkeypatch, 2)
+        params = dataclasses.replace(table_params, n=simulate._THREADED_MIN_N)
+        configs = [SimulationConfig(params=params, replicates=127, seed=seed,
+                                    **law)
+                   for seed, law in enumerate(KERNEL_LAWS)]
+        want = [[draw_replicate(cfg, i)[0].mean() for i in range(127)]
+                for cfg in configs]
+        got = [None] * len(configs)
+
+        def run(slot):
+            got[slot] = _replicate_means(configs[slot])[0].tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(len(configs))]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        assert got == want
 
 
 def standardized_errors(config, size):
