@@ -16,18 +16,19 @@ in the per-replicate operation order, so the means equal those of drawing
 one replicate at a time bit for bit: ``draw_replicate`` is a one-row call
 of the same kernel and returns that replicate's observed ``(y, x)`` arrays.
 
-From ``_THREADED_MIN_N`` up, a run of at least two blocks with at least two
-usable CPUs splits its blocks into two contiguous halves: the calling
-thread fills and averages the first, one ``threading.Thread`` the second,
-each with its own generator, and the worker writes only its own slices of
-the means. numpy's Philox fills release the GIL, so the halves overlap.
-Each replicate's variates depend on (seed, index) alone and every mean is
-taken over one replicate's row, so the means, and every output byte, are
-the same whichever path runs and whatever the CPU count. The worker calls
-no public function, is joined before the means are read, and its
-exception is raised in the caller; aggregation stays on the calling
-thread. Below the threshold the per-row work that holds the GIL outweighs
-the overlap (see ``_THREADED_MIN_N``).
+From ``_THREADED_MIN_N`` up, and on n alone, a run splits its blocks into
+two contiguous halves: the calling thread fills and averages the first, a
+one-thread ``ThreadPoolExecutor`` the second, each with its own generator,
+and the worker writes only its own slices of the means. numpy's Philox
+fills release the GIL, so the halves overlap. Each replicate's variates
+depend on (seed, index) alone and every mean is taken over one replicate's
+row, so the means, and every output byte, are the same whichever path runs
+and on any host. From the threshold up a block holds at most 32 replicates
+and a run at least 100, so both halves have blocks. The worker calls no
+public function and is joined before the means are read, its exception is
+raised in the caller, and aggregation stays on the calling thread. Below
+the threshold the per-row work that holds the GIL outweighs the overlap
+(see ``_THREADED_MIN_N``).
 
 The means are aggregated over every spec at once, ``_CHUNK`` replicates at
 a time. Each chunk's deviations, squares and SE terms are split into a few
@@ -44,14 +45,14 @@ every benchmark scenario the undefined region is tens of standard
 deviations away and the counter stays at zero.
 
 numpy is imported inside the functions that draw or reduce arrays, once per
-block or chunk, not at module load: the CLI imports this module for every
-command, and only ``simulate`` needs the engine.
+block or chunk, and the executor only past the n test, not at module load:
+the CLI imports this module for every command, and only ``simulate`` needs
+the engine.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -88,7 +89,10 @@ _BLOCK_VALUES = 32 * 800
 # n = 100 and 15.8-18.3 -> 11.0-15.1 at n = 200; Student-t (df 6)
 # 23.2-24.5 -> 23.8-31.2 at n = 150 and 30.0-46.1 -> 26.2-30.7 at n = 200.
 # Below it the per-replicate seek and call overhead, which hold the GIL,
-# outweigh the overlap of the fills, which release it.
+# outweigh the overlap of the fills, which release it. n alone picks the
+# path: pinned to one CPU at n = 200 and R = 1000, serial -> threaded read
+# (medians of 64 calls, ms) Gaussian 16.9 -> 18.2 and 22.3 -> 23.2,
+# Student-t 39.9 -> 36.4 and 29.4 -> 30.2: too close to pay for a CPU probe.
 _THREADED_MIN_N = 200
 # Replicates per aggregation chunk. A run of at most this many evaluates
 # each spec once; a longer one evaluates every chunk but the last again
@@ -315,13 +319,6 @@ def draw_replicate(config: SimulationConfig,
     return y[0], x[0]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _fill_means(config: SimulationConfig, starts: range, ybars: np.ndarray,
                 xbars: np.ndarray) -> None:
     """Write the means of the blocks at ``starts`` into their slices of
@@ -341,28 +338,15 @@ def _replicate_means(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     ybars = np.empty(reps)
     xbars = np.empty(reps)
     starts = range(0, reps, _block_rows(config.params.n))
-    if (config.params.n < _THREADED_MIN_N or len(starts) < 2
-            or _usable_cpus() < 2):
+    if config.params.n < _THREADED_MIN_N:
         _fill_means(config, starts, ybars, xbars)
         return ybars, xbars
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
     half = (len(starts) + 1) // 2
-    errors = []
-
-    def second_half() -> None:
-        try:
-            _fill_means(config, starts[half:], ybars, xbars)
-        except BaseException as error:      # re-raised by the caller
-            errors.append(error)
-
-    worker = threading.Thread(target=second_half)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(_fill_means, config, starts[half:], ybars, xbars)
         _fill_means(config, starts[:half], ybars, xbars)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+        second.result()
     return ybars, xbars
 
 

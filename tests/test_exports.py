@@ -144,9 +144,12 @@ def test_validated_inputs_are_frozen_dataclasses(value, field):
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 _PRESET = ["--preset", "gujarati-table1"]
+# Modules a cold start must not load: numpy, and the executor that fills
+# the draw blocks of a run at n >= 200. ``setup_s`` times this import path.
+_HEAVY_MODULES = ["numpy", "concurrent.futures"]
 # Command lines that need no array, with their exit codes: after each,
-# numpy must still be out of sys.modules. The last two are --help and a
-# usage error.
+# no module of _HEAVY_MODULES may be in sys.modules. The last two are
+# --help and a usage error.
 _LIGHT = ([([command, *_PRESET, "--format", fmt], 0)
            for command in ("theory", "params")
            for fmt in ("md", "csv", "json")]
@@ -160,16 +163,17 @@ _HEAVY = {
     "simulate-preset.csv": ["simulate", *_PRESET, "--replicates", "200",
                             "--seed", "7", "--format", "csv"],
 }
-# Prints, as json, each step's exit code and whether numpy is loaded after
-# it, then the exit code and stdout of each heavy command line.
+# Prints, as json, each step's exit code and which of the heavy modules are
+# loaded after it, then the exit code and stdout of each heavy command line.
 _COLD_START = """
 import contextlib, io, json, sys
 
-light, heavy = json.loads(sys.argv[1])
+light, heavy, heavy_modules = json.loads(sys.argv[1])
 steps = []
 
 def step(name, code):
-    steps.append([name, code, "numpy" in sys.modules])
+    steps.append([name, code, [module for module in heavy_modules
+                               if module in sys.modules]])
 
 def run(argv):
     out = io.StringIO()
@@ -195,14 +199,15 @@ def test_theory_path_loads_no_numpy_from_a_cold_start():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START,
-         json.dumps([[argv for argv, _ in _LIGHT], list(_HEAVY.values())])],
+         json.dumps([[argv for argv, _ in _LIGHT], list(_HEAVY.values()),
+                     _HEAVY_MODULES])],
         env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         encoding="utf-8", check=False)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["steps"] == (
-        [["import meanerr", None, False], ["import meanerr.cli", None, False]]
-        + [[" ".join(argv), code, False] for argv, code in _LIGHT])
+        [["import meanerr", None, []], ["import meanerr.cli", None, []]]
+        + [[" ".join(argv), code, []] for argv, code in _LIGHT])
     # the deferred imports work when the first array op loads numpy
     for golden, (code, out) in zip(_HEAVY, report["heavy"]):
         assert code == 0, golden

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 import sys
 import threading
 import warnings
@@ -308,12 +307,6 @@ class TestBlockKernel:
             assert np.isfinite(y).all() and np.isnan(x[-1])
 
 
-def usable_cpus(monkeypatch, count):
-    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-
-
 def fill_threads(monkeypatch):
     """The thread idents of ``_fill_means`` calls, in call order."""
     idents = []
@@ -341,11 +334,11 @@ class TestTwoThreads:
             cfg = SimulationConfig(
                 params=dataclasses.replace(table_params, n=n),
                 replicates=reps, seed=2**64 - 1, **law)
-            usable_cpus(monkeypatch, 1)
-            serial = _replicate_means(cfg)
+            with monkeypatch.context() as serial_only:
+                serial_only.setattr(simulate, "_THREADED_MIN_N", n + 1)
+                serial = _replicate_means(cfg)
             assert len(set(idents)) == 1
             idents.clear()
-            usable_cpus(monkeypatch, 2)
             threaded = _replicate_means(cfg)
             assert len(set(idents)) == 2
             idents.clear()
@@ -356,7 +349,6 @@ class TestTwoThreads:
     @pytest.mark.parametrize("half", ["first", "second"])
     def test_an_exception_in_either_half_reaches_the_caller(
             self, table_params, monkeypatch, half):
-        usable_cpus(monkeypatch, 2)
         cfg = SimulationConfig(
             params=dataclasses.replace(table_params, n=1000),
             replicates=100, seed=SEED)
@@ -376,17 +368,19 @@ class TestTwoThreads:
             run_monte_carlo(cfg, [Estimator()])
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n, cpus, block_values", [
-        (simulate._THREADED_MIN_N - 1, 2, None),
-        (simulate._THREADED_MIN_N, 1, None),
-        (simulate._THREADED_MIN_N, 2, 4 * simulate._THREADED_MIN_N * 100),
-    ], ids=["below-threshold", "one-cpu", "one-block"])
-    def test_no_thread_starts(self, table_params, monkeypatch, n, cpus,
-                              block_values):
-        usable_cpus(monkeypatch, cpus)
-        if block_values is not None:
-            monkeypatch.setattr(simulate, "_BLOCK_VALUES", block_values)
+    @pytest.mark.parametrize("n", [
+        simulate._THREADED_MIN_N, simulate._THREADED_MIN_N + 1, 6400, 6401,
+        simulate._MAX_N])
+    def test_both_halves_have_blocks(self, n):
+        # the fewest replicates a config accepts fill at least two blocks
+        # at every n from the threshold up, so the split needs no guard;
+        # with these constants, test_threaded_means_equal_serial sees two
+        # threads at R = 100 and test_no_thread_starts none below n = 200
+        assert len(range(0, 100, _block_rows(n))) >= 2
 
+    @pytest.mark.parametrize("n", [simulate._THREADED_MIN_N - 1],
+                             ids=["below-threshold"])
+    def test_no_thread_starts(self, table_params, monkeypatch, n):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
@@ -396,16 +390,8 @@ class TestTwoThreads:
             seed=SEED)
         run_monte_carlo(cfg, [Estimator()])
 
-    def test_usable_cpus_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert simulate._usable_cpus() == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert simulate._usable_cpus() == 4
-
     def test_estimators_evaluated_on_the_calling_thread(self, table_params,
                                                        monkeypatch):
-        usable_cpus(monkeypatch, 2)
         idents = fill_threads(monkeypatch)
         evaluated = []
 
@@ -421,11 +407,9 @@ class TestTwoThreads:
         assert len(set(idents)) == 2
         assert set(evaluated) == {threading.get_ident()}
 
-    def test_concurrent_runs_under_fast_switching(self, table_params,
-                                                  monkeypatch):
+    def test_concurrent_runs_under_fast_switching(self, table_params):
         # three runs at once on two threads each, more threads than CPUs,
         # switching every microsecond: each gets the serial path's means
-        usable_cpus(monkeypatch, 2)
         params = dataclasses.replace(table_params, n=simulate._THREADED_MIN_N)
         configs = [SimulationConfig(params=params, replicates=127, seed=seed,
                                     **law)
